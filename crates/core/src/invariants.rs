@@ -310,35 +310,23 @@ pub fn check(k: &Kernel) -> Vec<Violation> {
 
     // 6. Decode-cache coherence (engine-independent). Work is bounded:
     // stale-generation tables are skipped by a single version compare
-    // (never walking their entries), a live table's scan stops once its
-    // occupied slots have all been visited, and at most `BUDGET` entries
-    // are re-decoded per call — so interleaved checking stays cheap even
-    // for code-heavy workloads.
+    // (never walking their entries), and at most `BUDGET` entries are
+    // re-decoded per call, walked in (frame, offset) order — so
+    // interleaved checking stays cheap even for code-heavy workloads.
     const BUDGET: u32 = 64;
     let m = &k.sys.machine;
-    let mut budget = BUDGET;
-    'frames: for (pfn, version, used, entries) in m.decode_cache.iter_frames() {
-        if used == 0 || version != m.phys.frame_version(pfn) {
-            continue;
-        }
+    let current = m
+        .decode_cache
+        .iter_frames()
+        .filter(|&(pfn, version, _)| version == m.phys.frame_version(pfn))
+        .flat_map(|(pfn, _, entries)| entries.iter().map(move |&(off, c)| (pfn, off, c)));
+    for (pfn, off, cached) in current.take(BUDGET as usize) {
         let bytes = m.phys.frame_bytes(pte::Frame(pfn));
-        let mut remaining = used;
-        for (off, e) in entries.iter().enumerate() {
-            let Some(cached) = e else { continue };
-            if budget == 0 {
-                break 'frames;
-            }
-            budget -= 1;
-            if sm_machine::isa::decode_slice(&bytes[off..]) != Ok(cached.decoded) {
-                out.push(Violation::DecodeCacheIncoherent {
-                    pfn,
-                    offset: off as u32,
-                });
-            }
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
+        if sm_machine::isa::decode_slice(&bytes[off as usize..]) != Ok(cached.decoded) {
+            out.push(Violation::DecodeCacheIncoherent {
+                pfn,
+                offset: off as u32,
+            });
         }
     }
 
@@ -718,6 +706,50 @@ mod tests {
         assert!(check(&k)
             .iter()
             .any(|v| matches!(v, Violation::DecodeCacheIncoherent { pfn: 3, offset: 0 })));
+    }
+
+    /// Fill a frame with `nop`s, cache `coherent` correct decodes at its
+    /// lowest offsets and a bogus one at offset 4000, and report whether
+    /// one `check()` flags the bogus entry.
+    fn high_offset_bogus_decode_is_reported(coherent: u32) -> bool {
+        let mut k = split_kernel();
+        // Nothing has executed yet, so the planted frame is the only one
+        // with cached decodes and the budget walk starts at its offset 0.
+        assert_eq!(
+            k.sys.machine.decode_cache.stats,
+            sm_machine::DecodeCacheStats::default()
+        );
+        let pfn = k.sys.machine.phys.frame_count() - 1;
+        k.sys.machine.phys.fill_frame(pte::Frame(pfn), 0x90);
+        let version = k.sys.machine.phys.frame_version(pfn);
+        let nop = sm_machine::decode_cache::CachedDecode {
+            decoded: sm_machine::isa::decode_slice(&[0x90]).unwrap(),
+            len: 1,
+        };
+        for off in 0..coherent {
+            k.sys.machine.decode_cache.insert(pfn, off, version, nop);
+        }
+        let bogus = sm_machine::decode_cache::CachedDecode {
+            decoded: sm_machine::isa::Decoded::Invalid { opcode: 0xC3 },
+            len: 1,
+        };
+        k.sys.machine.decode_cache.insert(pfn, 4000, version, bogus);
+        check(&k).contains(&Violation::DecodeCacheIncoherent { pfn, offset: 4000 })
+    }
+
+    #[test]
+    fn decode_coherence_walk_reaches_a_high_offset_within_budget() {
+        // 63 coherent decodes + the bogus one = the full 64-decode budget.
+        assert!(high_offset_bogus_decode_is_reported(0));
+        assert!(high_offset_bogus_decode_is_reported(63));
+    }
+
+    #[test]
+    fn decode_coherence_walk_stops_at_its_budget_in_offset_order() {
+        // The walk visits decodes in ascending offset order, so 64
+        // coherent ones below offset 4000 use up the budget first.
+        assert!(!high_offset_bogus_decode_is_reported(64));
+        assert!(!high_offset_bogus_decode_is_reported(200));
     }
 
     #[test]

@@ -69,27 +69,50 @@ struct FrameDecodes {
     /// observed when these entries were cached. A mismatch on lookup means
     /// the frame has been written since: every entry is stale.
     version: u64,
-    /// Occupied slots in `entries`. Lets the coherence checker stop
-    /// scanning a frame as soon as it has visited every cached decode
-    /// (code clusters at low offsets, so the scan usually ends early).
-    used: u32,
-    /// One slot per byte offset an instruction can start at.
-    entries: Vec<Option<CachedDecode>>,
+    /// Cached decodes keyed by the page offset they start at, sorted by
+    /// offset. A frame holds a few dozen decodes in practice, a small
+    /// fraction of a dense 4096-slot table.
+    entries: Vec<(u16, CachedDecode)>,
+    /// Index just past the last hit: straight-line code asks for the
+    /// offsets in ascending order, so this is usually the next one asked
+    /// for and the lookup skips the search.
+    next: usize,
+    /// Index the last search found, usually a loop's back-edge target.
+    target: usize,
 }
 
 impl FrameDecodes {
     fn new(version: u64) -> FrameDecodes {
         FrameDecodes {
             version,
-            used: 0,
-            entries: vec![None; PAGE_SIZE as usize],
+            // Enough for a typical code frame without regrowing.
+            entries: Vec::with_capacity(64),
+            next: 0,
+            target: 0,
         }
     }
 
     fn clear(&mut self, version: u64) {
-        self.entries.iter_mut().for_each(|e| *e = None);
+        self.entries.clear();
         self.version = version;
-        self.used = 0;
+    }
+
+    fn find(&self, off: u32) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&(off as u16), |e| e.0)
+    }
+
+    #[inline]
+    fn get(&mut self, off: u32) -> Option<CachedDecode> {
+        let at = |i: usize| self.entries.get(i).filter(|e| e.0 == off as u16).map(|_| i);
+        let i = match at(self.next).or_else(|| at(self.target)) {
+            Some(i) => i,
+            None => {
+                self.target = self.find(off).ok()?;
+                self.target
+            }
+        };
+        self.next = i + 1;
+        Some(self.entries[i].1)
     }
 }
 
@@ -98,7 +121,8 @@ impl FrameDecodes {
 /// [`MachineConfig::decode_cache`](crate::MachineConfig::decode_cache)).
 pub struct DecodeCache {
     /// Indexed by PFN; a frame gets a table lazily on its first cached
-    /// decode (~128 KiB per frame that ever executes code).
+    /// decode, sized by the decodes it holds (about 2 KiB for a typical
+    /// code frame).
     frames: Vec<Option<Box<FrameDecodes>>>,
     /// Effectiveness counters.
     pub stats: DecodeCacheStats,
@@ -120,15 +144,12 @@ impl DecodeCache {
     #[inline]
     pub fn lookup(&mut self, pfn: u32, off: u32, version: u64) -> Option<CachedDecode> {
         let slot = match self.frames[pfn as usize].as_deref_mut() {
-            Some(fd) => {
-                if fd.version != version {
-                    fd.clear(version);
-                    self.stats.invalidations += 1;
-                    None
-                } else {
-                    fd.entries[off as usize]
-                }
+            Some(fd) if fd.version != version => {
+                fd.clear(version);
+                self.stats.invalidations += 1;
+                None
             }
+            Some(fd) => fd.get(off),
             None => None,
         };
         match slot {
@@ -151,31 +172,20 @@ impl DecodeCache {
             // shares the frame). Restart the table at the new generation.
             fd.clear(version);
         }
-        if fd.entries[off as usize].is_none() {
-            fd.used += 1;
+        match fd.find(off) {
+            Ok(i) => fd.entries[i].1 = c,
+            Err(i) => fd.entries.insert(i, (off as u16, c)),
         }
-        fd.entries[off as usize] = Some(c);
     }
 
-    /// Iterate the per-frame tables as `(pfn, snapshot_version,
-    /// occupied_count, entries)` — the coherence-invariant checker in
-    /// `sm-core` skips stale tables by version without touching their
-    /// entries, and `occupied_count` lets it stop scanning a live table as
-    /// soon as every cached decode has been visited.
-    pub fn iter_frames(&self) -> impl Iterator<Item = (u32, u64, u32, &[Option<CachedDecode>])> {
+    /// Iterate the per-frame tables as `(pfn, snapshot_version, entries)`,
+    /// each table's `(offset, decode)` entries in ascending offset order —
+    /// the coherence-invariant checker in `sm-core` skips stale tables by
+    /// version without touching their entries.
+    pub fn iter_frames(&self) -> impl Iterator<Item = (u32, u64, &[(u16, CachedDecode)])> {
         self.frames.iter().enumerate().filter_map(|(pfn, fd)| {
             fd.as_deref()
-                .map(|fd| (pfn as u32, fd.version, fd.used, fd.entries.as_slice()))
-        })
-    }
-
-    /// Iterate every cached decode as `(pfn, snapshot_version, off, entry)`.
-    pub fn iter_cached(&self) -> impl Iterator<Item = (u32, u64, u32, CachedDecode)> + '_ {
-        self.iter_frames().flat_map(|(pfn, version, _, entries)| {
-            entries
-                .iter()
-                .enumerate()
-                .filter_map(move |(off, e)| e.map(|c| (pfn, version, off as u32, c)))
+                .map(|fd| (pfn as u32, fd.version, fd.entries.as_slice()))
         })
     }
 }
@@ -242,8 +252,11 @@ mod tests {
         // Invalidate frame 3 only.
         assert!(c.lookup(3, 5, 10).is_none());
         assert!(c.lookup(1, 5, 0).is_some());
-        let cached: Vec<_> = c.iter_cached().collect();
-        assert_eq!(cached, vec![(1, 0, 5, nop(1))]);
+        let cached: Vec<_> = c
+            .iter_frames()
+            .filter(|(_, _, entries)| !entries.is_empty())
+            .collect();
+        assert_eq!(cached, vec![(1, 0, &[(5, nop(1))][..])]);
     }
 
     #[test]
