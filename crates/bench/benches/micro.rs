@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sm_core::engine::{SplitMemConfig, SplitMemEngine};
 use sm_core::setup::Protection;
-use sm_core::sha256::sha256;
+use sm_core::sha256::{sha256, sha256_scalar};
 use sm_kernel::engine::NullEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig};
@@ -222,6 +222,9 @@ fn bench_verify(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(data.len() as u64));
     g.bench_function("sha256_64k", |b| {
         b.iter(|| sha256(&data));
+    });
+    g.bench_function("sha256_64k_scalar", |b| {
+        b.iter(|| sha256_scalar(&data));
     });
     g.finish();
 }

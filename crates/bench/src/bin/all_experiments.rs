@@ -278,13 +278,16 @@ fn main() {
     println!("==== Snapshot save/restore throughput ===========================\n");
     let snap = summary.section("probe-snapshot", || sm_bench::summary::snapshot_probe(25));
     println!(
-        "snapshot: {} bytes; save {:.1} MB/s, restore {:.1} MB/s ({} iterations, {:.1}/{:.1} ms)",
+        "snapshot: {} bytes; save {:.1} MB/s, restore {:.1} MB/s ({} iterations, {:.1}/{:.1} ms); \
+         sha256 {:.1} MB/s ({})",
         snap.snapshot_bytes,
         snap.save_mb_per_sec,
         snap.restore_mb_per_sec,
         snap.iterations,
         snap.save_ms,
         snap.restore_ms,
+        snap.sha256_mb_per_sec,
+        snap.sha256_path,
     );
     summary.snapshot = Some(snap);
     println!();

@@ -11,6 +11,7 @@ use sm_core::setup::Protection;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{KernelConfig, RunExit};
 use sm_kernel::userlib::ProgramBuilder;
+use sm_machine::sha256;
 use sm_machine::DecodeCacheStats;
 use sm_machine::SuperblockStats;
 use sm_machine::TlbPreset;
@@ -91,6 +92,11 @@ pub struct SnapshotProbe {
     pub save_mb_per_sec: f64,
     /// Deserialization + validation throughput, megabytes per second.
     pub restore_mb_per_sec: f64,
+    /// SHA-256 throughput over the same snapshot bytes, megabytes per
+    /// second: the checksum both save and restore pay.
+    pub sha256_mb_per_sec: f64,
+    /// The SHA-256 path the host took ([`sm_machine::sha256::path`]).
+    pub sha256_path: &'static str,
 }
 
 /// Headline numbers from the fleet-scale multi-tenant simulation
@@ -257,13 +263,16 @@ impl BenchSummary {
             Some(p) => format!(
                 ",\n  \"snapshot_probe\": {{\"snapshot_bytes\": {}, \"iterations\": {}, \
                  \"save_ms\": {:.3}, \"restore_ms\": {:.3}, \
-                 \"save_mb_per_sec\": {:.1}, \"restore_mb_per_sec\": {:.1}}}",
+                 \"save_mb_per_sec\": {:.1}, \"restore_mb_per_sec\": {:.1}, \
+                 \"sha256_mb_per_sec\": {:.1}, \"sha256_path\": \"{}\"}}",
                 p.snapshot_bytes,
                 p.iterations,
                 p.save_ms,
                 p.restore_ms,
                 p.save_mb_per_sec,
-                p.restore_mb_per_sec
+                p.restore_mb_per_sec,
+                p.sha256_mb_per_sec,
+                p.sha256_path
             ),
         };
         let sharded = match &self.sharded {
@@ -425,6 +434,11 @@ pub fn snapshot_probe(iterations: u32) -> SnapshotProbe {
         sm_kernel::snapshot::restore(&bytes, split.engine()).expect("own snapshot restores");
     }
     let restore_dt = t0.elapsed();
+    let t0 = Instant::now();
+    for _ in 0..iterations {
+        std::hint::black_box(sha256::sha256(&bytes));
+    }
+    let sha_dt = t0.elapsed();
     let total_mb = bytes.len() as f64 * iterations as f64 / 1e6;
     SnapshotProbe {
         snapshot_bytes: bytes.len(),
@@ -433,6 +447,8 @@ pub fn snapshot_probe(iterations: u32) -> SnapshotProbe {
         restore_ms: restore_dt.as_secs_f64() * 1e3,
         save_mb_per_sec: total_mb / save_dt.as_secs_f64().max(1e-9),
         restore_mb_per_sec: total_mb / restore_dt.as_secs_f64().max(1e-9),
+        sha256_mb_per_sec: total_mb / sha_dt.as_secs_f64().max(1e-9),
+        sha256_path: sha256::path(),
     }
 }
 
@@ -574,7 +590,7 @@ mod tests {
         let p = snapshot_probe(3);
         assert!(p.snapshot_bytes > 1000, "{p:?}");
         assert!(
-            p.save_mb_per_sec > 0.0 && p.restore_mb_per_sec > 0.0,
+            p.save_mb_per_sec > 0.0 && p.restore_mb_per_sec > 0.0 && p.sha256_mb_per_sec > 0.0,
             "{p:?}"
         );
         let s = BenchSummary {
@@ -583,5 +599,9 @@ mod tests {
         };
         let j = s.to_json();
         assert!(j.contains("\"snapshot_probe\": {\"snapshot_bytes\""), "{j}");
+        assert!(
+            j.contains(&format!("\"sha256_path\": \"{}\"", sha256::path())),
+            "{j}"
+        );
     }
 }

@@ -295,6 +295,45 @@ fn engine_snapshot_bytes_deterministic_run_to_run() {
     }
 }
 
+/// Every digest a real snapshot carries is the same on the dispatched
+/// SHA-256 path (SHA-NI where the host has it) and on the scalar oracle:
+/// the manifest hash and each section hash of a busy kernel's container,
+/// recomputed both ways, equal what `save` recorded. The container stays
+/// at format version 1.
+#[test]
+fn snapshot_digests_match_the_scalar_oracle() {
+    use sm_machine::sha256::{sha256, sha256_scalar};
+    let protection = Protection::ShadowCombined(ResponseMode::Break);
+    let (k, _) = sm_attacks::code_reuse::run_libd_benign(&protection);
+    let bytes = ksnap::save(&k);
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+
+    assert_eq!(bytes[..8], ksnap::MAGIC);
+    assert_eq!(
+        (ksnap::VERSION, u32_at(8)),
+        (1, 1),
+        "container version moved"
+    );
+    let count = u32_at(12) as usize;
+    assert_eq!(count, 12, "sections");
+    let header_len = 16 + count * 52;
+    let manifest = &bytes[..header_len];
+    let recorded = &bytes[header_len..header_len + 32];
+    assert_eq!(sha256(manifest), recorded, "manifest, dispatched path");
+    assert_eq!(sha256_scalar(manifest), recorded, "manifest, scalar oracle");
+
+    let payloads = &bytes[header_len + 32..];
+    for at in (16..header_len).step_by(52) {
+        let tag = String::from_utf8_lossy(&bytes[at..at + 4]).into_owned();
+        let (offset, len) = (u64_at(at + 4), u64_at(at + 12));
+        let recorded = &bytes[at + 20..at + 52];
+        let payload = &payloads[offset..offset + len];
+        assert_eq!(sha256(payload), recorded, "{tag}, dispatched path");
+        assert_eq!(sha256_scalar(payload), recorded, "{tag}, scalar oracle");
+    }
+}
+
 fn loop_program() -> BuiltProgram {
     ProgramBuilder::new("/bin/loop")
         .code(
