@@ -408,28 +408,35 @@ fn main() {
     // landing between the I-TLB fill and the store's fetch widens the
     // paper-§7 single-step window onto the store itself), so we demand
     // convergence, clean invariants and no livelock — not verdict
-    // equality.
-    let mixed = chaos::sweep(&seeds, &[Scenario::MixedPatch], &split);
-    for r in &mixed {
-        combos += 1;
-        let mut bad = Vec::new();
-        if !r.run.violations.is_empty() {
-            bad.push(format!("{} invariant violations", r.run.violations.len()));
+    // equality. It runs under every engine that splits mixed pages, the
+    // stacks included, so the checker must find the split layer in each.
+    for (i, protection) in [&split, &combined, &shadow_stacked].into_iter().enumerate() {
+        if i > 0 {
+            println!("\nmixed-patch under {}:", protection.label());
         }
-        if !matches!(r.run.exit, RunExit::AllExited) {
-            bad.push(format!("did not converge: {:?}", r.run.exit));
-        }
-        if report(r, &mut failures, bad) && trace {
-            failed_combos.push(FailedCombo {
-                scenario: r.scenario.clone(),
-                plan: r.plan,
-                seed: r.seed,
-                protection: split.clone(),
-                tlb: TlbPreset::default(),
-            });
+        let mixed = chaos::sweep(&seeds, &[Scenario::MixedPatch], protection);
+        for r in &mixed {
+            combos += 1;
+            let mut bad = Vec::new();
+            if !r.run.violations.is_empty() {
+                bad.push(format!("{} invariant violations", r.run.violations.len()));
+            }
+            if !matches!(r.run.exit, RunExit::AllExited) {
+                bad.push(format!("did not converge: {:?}", r.run.exit));
+            }
+            if report(r, &mut failures, bad) && trace {
+                failed_combos.push(FailedCombo {
+                    scenario: r.scenario.clone(),
+                    plan: r.plan,
+                    seed: r.seed,
+                    protection: protection.clone(),
+                    tlb: TlbPreset::default(),
+                });
+            }
         }
     }
 
+    println!("\nOOM plans under {}:", combined.label());
     let oom = chaos::sweep_oom(&seeds, &scenarios, &combined);
     for r in &oom {
         combos += 1;

@@ -758,6 +758,9 @@ fn protection_tags(p: &Protection) -> Result<(u8, u8), String> {
         Protection::SplitMem(m) => Ok((1, response_tag(m))),
         Protection::Nx => Ok((2, 0)),
         Protection::Combined(m) => Ok((3, response_tag(m))),
+        Protection::NxResponse(m) => Ok((4, response_tag(m))),
+        Protection::ShadowStack(m) => Ok((5, response_tag(m))),
+        Protection::ShadowCombined(m) => Ok((6, response_tag(m))),
         other => Err(format!("protection {other:?} has no dump encoding")),
     }
 }
@@ -774,6 +777,9 @@ fn protection_from_tags(kind: u8, mode: u8) -> Result<Protection, String> {
         1 => Ok(Protection::SplitMem(m)),
         2 => Ok(Protection::Nx),
         3 => Ok(Protection::Combined(m)),
+        4 => Ok(Protection::NxResponse(m)),
+        5 => Ok(Protection::ShadowStack(m)),
+        6 => Ok(Protection::ShadowCombined(m)),
         _ => Err(format!("unknown protection tag {kind}")),
     }
 }
@@ -1110,4 +1116,33 @@ pub fn replay_dump_to_seq(bytes: &[u8], stop_seq: u64) -> Result<TimeTravelRepor
         events_replayed: tail.lines().count(),
         tail_jsonl: tail,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every protection the chaos bin sweeps can be written into a failure
+    /// dump and read back; tags 0–3 keep the values committed dumps carry.
+    #[test]
+    fn swept_protections_round_trip_through_dump_tags() {
+        use ResponseMode::{Break, Observe};
+        for p in [
+            Protection::Unprotected,
+            Protection::SplitMem(Break),
+            Protection::Combined(Break),
+            Protection::ShadowStack(Break),
+            Protection::ShadowCombined(Break),
+            Protection::NxResponse(Observe),
+            Protection::ShadowCombined(Observe),
+        ] {
+            let (kind, mode) = protection_tags(&p).unwrap();
+            let back = protection_from_tags(kind, mode).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{p:?}"));
+        }
+        assert_eq!(protection_tags(&Protection::Unprotected), Ok((0, 0)));
+        assert_eq!(protection_tags(&Protection::SplitMem(Observe)), Ok((1, 1)));
+        assert_eq!(protection_tags(&Protection::Nx), Ok((2, 0)));
+        assert_eq!(protection_tags(&Protection::Combined(Break)), Ok((3, 0)));
+    }
 }

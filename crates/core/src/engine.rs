@@ -839,16 +839,9 @@ impl ProtectionEngine for SplitMemEngine {
     /// Kernel-emitted code (the signal trampoline) must be visible to
     /// *fetches*, i.e. land on the code frames too — the legitimate-kernel
     /// counterpart of the mixed-page support (§5.5).
-    fn write_user_code(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        vaddr: u32,
-        bytes: &[u8],
-    ) -> Result<(), PageFaultInfo> {
-        // Data halves (and unsplit pages) via the normal kernel copy path.
-        sys.machine.copy_to_user(vaddr, bytes)?;
-        // Mirror onto the code halves of any split pages touched
+    fn on_user_code_written(&mut self, sys: &mut System, pid: Pid, vaddr: u32, bytes: &[u8]) {
+        // The data halves (and unsplit pages) already hold the bytes; mirror
+        // them onto the code halves of any split pages touched
         // (materialising lazy code halves: the trampoline must be
         // fetchable).
         for (i, b) in bytes.iter().enumerate() {
@@ -878,7 +871,6 @@ impl ProtectionEngine for SplitMemEngine {
                 }
             }
         }
-        Ok(())
     }
 
     /// Split tables (sorted by pid, then vpn — canonical bytes) plus the

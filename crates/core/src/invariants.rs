@@ -51,8 +51,8 @@
 //! [`check`] returns every violation found; [`run_with_checks`] interleaves
 //! checking with execution so a whole workload can be swept.
 
-use crate::combined::CombinedEngine;
 use crate::engine::SplitMemEngine;
+use crate::stack::find;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, RunExit};
 use sm_kernel::process::{Pid, ProcState};
@@ -260,16 +260,9 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The split half of whatever engine the kernel runs, if any.
+/// The split layer of whatever engine the kernel runs, if any.
 fn split_engine(k: &Kernel) -> Option<&SplitMemEngine> {
-    let any = k.engine.as_any();
-    if let Some(e) = any.downcast_ref::<SplitMemEngine>() {
-        return Some(e);
-    }
-    if let Some(c) = any.downcast_ref::<CombinedEngine>() {
-        return Some(&c.split);
-    }
-    None
+    find::<SplitMemEngine>(k.engine.as_ref())
 }
 
 /// Check every invariant against the kernel's current state. Call between
@@ -796,11 +789,7 @@ mod tests {
         let prog = demo_program("/bin/nxc");
         let pid = k.spawn(&prog.image).unwrap();
         let vpn = {
-            let engine = k
-                .engine
-                .as_any()
-                .downcast_ref::<SplitMemEngine>()
-                .expect("split engine");
+            let engine = split_engine(&k).expect("split engine");
             engine
                 .table(pid)
                 .expect("table")
@@ -867,11 +856,7 @@ mod tests {
         k.sys.current = Some(a);
         assert!(check(&k).is_empty());
         let leaked = {
-            let engine = k
-                .engine
-                .as_any()
-                .downcast_ref::<SplitMemEngine>()
-                .expect("split engine");
+            let engine = split_engine(&k).expect("split engine");
             engine
                 .table(b)
                 .expect("table")
@@ -911,11 +896,7 @@ mod tests {
             .unwrap();
         let pid = k.spawn(&prog.image).unwrap();
         // Corrupt a filler code frame behind the engine's back.
-        let engine = k
-            .engine
-            .as_any()
-            .downcast_ref::<SplitMemEngine>()
-            .expect("split engine");
+        let engine = split_engine(&k).expect("split engine");
         let (_, sp) = engine
             .table(pid)
             .expect("table")

@@ -16,8 +16,12 @@
 //!   shellcode).
 //! * [`nx::NxEngine`] — the execute-disable-bit baseline (DEP/PAGEEXEC),
 //!   including its mixed-page blind spot.
-//! * [`combined::CombinedEngine`] — NX for clean pages + splitting for
-//!   mixed pages or a configurable random fraction (the paper's Fig. 9).
+//! * [`shadow::ShadowStackEngine`] — shadow stack + coarse CFI against
+//!   code reuse, which split memory and NX do not stop.
+//! * [`stack::EngineStack`] — engines composed as ordered layers: NX for
+//!   clean pages + splitting for mixed pages or a configurable random
+//!   fraction (the paper's combined mode and Fig. 9), optionally under the
+//!   shadow stack. [`stack::find`] reaches a layer from outside.
 //! * [`verify::Verifier`] — DigSig-style load-time library signing over an
 //!   in-crate SHA-256 ([`sha256`]).
 //! * [`forensics::fingerprint`] — §4.5.3's "shellcode analysis" and
@@ -50,7 +54,6 @@
 //! # }
 //! ```
 
-pub mod combined;
 pub mod engine;
 pub mod forensics;
 pub mod invariants;
@@ -58,16 +61,17 @@ pub mod nx;
 pub mod setup;
 pub mod shadow;
 pub mod split;
+pub mod stack;
 pub mod verify;
 
 pub use sm_machine::sha256;
 
-pub use combined::CombinedEngine;
 pub use engine::{SplitMemConfig, SplitMemEngine};
 pub use nx::NxEngine;
 pub use setup::Protection;
-pub use shadow::{ShadowCombinedEngine, ShadowStackEngine, ShadowStats};
+pub use shadow::{ShadowStackEngine, ShadowStats};
 pub use split::{SplitPolicy, SplitStats};
+pub use stack::{find, EngineStack};
 pub use verify::Verifier;
 
 #[cfg(test)]
@@ -360,23 +364,13 @@ mod tests {
             .data("x: .word 1")
             .build()
             .unwrap();
-        let mut k = Kernel::new(
-            MachineConfig {
-                nx_enabled: true,
-                ..MachineConfig::default()
-            },
-            KernelConfig::default(),
-            Box::new(CombinedEngine::new(ResponseMode::Break)),
-        );
+        let mut k = Protection::Combined(ResponseMode::Break).kernel(KernelConfig::default());
         let pid = k.spawn(&clean.image).unwrap();
         // Nothing mixed → nothing split, but data pages are NX-marked.
-        let engine = k
-            .engine
-            .as_any()
-            .downcast_ref::<CombinedEngine>()
-            .expect("combined engine");
-        assert!(engine.split.table(pid).is_none_or(|t| t.is_empty()));
-        assert!(engine.nx.stats.pages_marked > 0);
+        let split = find::<SplitMemEngine>(k.engine.as_ref()).expect("split layer");
+        assert!(split.table(pid).is_none_or(|t| t.is_empty()));
+        let nx = find::<NxEngine>(k.engine.as_ref()).expect("nx layer");
+        assert!(nx.stats.pages_marked > 0);
         k.run(10_000_000);
         assert_eq!(k.sys.proc(pid).exit_code, Some(0));
     }

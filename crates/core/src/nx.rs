@@ -87,27 +87,20 @@ impl NxEngine {
     }
 
     /// Mark every present, non-executable page in `[start, end)` NX,
-    /// skipping pages for which `skip` returns true (the combined engine
-    /// skips split pages).
-    pub fn mark_range(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        start: u32,
-        end: u32,
-        skip: impl Fn(u32) -> bool,
-    ) {
+    /// skipping split pages: in a stack with split memory those are
+    /// protected by the split, and a page never carries both bits.
+    fn mark_range(&mut self, sys: &mut System, pid: Pid, start: u32, end: u32) {
         Self::assert_hw(sys);
         let mut addr = pte::page_base(start);
         while addr < end {
-            let vpn = pte::vpn(addr);
-            if !skip(vpn) && !page_is_executable(sys, pid, addr) {
-                let entry = sys.pte_of(pid, addr);
-                if pte::has(entry, pte::PRESENT) && !pte::has(entry, pte::NX) {
-                    sys.set_pte(pid, addr, entry | pte::NX);
-                    sys.machine.invlpg(addr);
-                    self.stats.pages_marked += 1;
-                }
+            let entry = sys.pte_of(pid, addr);
+            if pte::has(entry, pte::PRESENT)
+                && entry & (pte::NX | pte::SPLIT) == 0
+                && !page_is_executable(sys, pid, addr)
+            {
+                sys.set_pte(pid, addr, entry | pte::NX);
+                sys.machine.invlpg(addr);
+                self.stats.pages_marked += 1;
             }
             match addr.checked_add(PAGE_SIZE) {
                 Some(next) => addr = next,
@@ -116,8 +109,8 @@ impl NxEngine {
         }
     }
 
-    /// Record a blocked fetch; shared with the combined engine.
-    pub fn detect(&mut self, sys: &mut System, pid: Pid, pf: PageFaultInfo) -> FaultOutcome {
+    /// Record a blocked fetch.
+    fn detect(&mut self, sys: &mut System, pid: Pid, pf: PageFaultInfo) -> FaultOutcome {
         if pf.access != Access::Fetch {
             return FaultOutcome::Unhandled;
         }
@@ -184,7 +177,7 @@ impl NxEngine {
     }
 
     /// Clear NX on the pages a kernel trampoline was written to.
-    pub fn exempt_trampoline(&mut self, sys: &mut System, pid: Pid, vaddr: u32, len: usize) {
+    fn exempt_trampoline(&mut self, sys: &mut System, pid: Pid, vaddr: u32, len: usize) {
         let mut addr = pte::page_base(vaddr);
         let end = vaddr.wrapping_add(len as u32);
         while addr < end {
@@ -209,11 +202,11 @@ impl ProtectionEngine for NxEngine {
     }
 
     fn on_region_mapped(&mut self, sys: &mut System, pid: Pid, start: u32, end: u32) {
-        self.mark_range(sys, pid, start, end, |_| false);
+        self.mark_range(sys, pid, start, end);
     }
 
     fn on_page_mapped(&mut self, sys: &mut System, pid: Pid, vaddr: u32) {
-        self.mark_range(sys, pid, vaddr, vaddr + 1, |_| false);
+        self.mark_range(sys, pid, vaddr, vaddr + 1);
     }
 
     fn on_protection_fault(
@@ -225,16 +218,8 @@ impl ProtectionEngine for NxEngine {
         self.detect(sys, pid, pf)
     }
 
-    fn write_user_code(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        vaddr: u32,
-        bytes: &[u8],
-    ) -> Result<(), PageFaultInfo> {
-        sys.machine.copy_to_user(vaddr, bytes)?;
+    fn on_user_code_written(&mut self, sys: &mut System, pid: Pid, vaddr: u32, bytes: &[u8]) {
         self.exempt_trampoline(sys, pid, vaddr, bytes.len());
-        Ok(())
     }
 
     fn snapshot_state(&self) -> Vec<u8> {

@@ -5,11 +5,11 @@
 //! this module is the single place that maps a [`Protection`] to a machine
 //! config (execute-disable bit on or off) and an engine.
 
-use crate::combined::CombinedEngine;
 use crate::engine::{SplitMemConfig, SplitMemEngine};
 use crate::nx::NxEngine;
-use crate::shadow::{ShadowCombinedEngine, ShadowStackEngine};
+use crate::shadow::ShadowStackEngine;
 use crate::split::SplitPolicy;
+use crate::stack::EngineStack;
 use sm_kernel::engine::{NullEngine, ProtectionEngine};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig};
@@ -71,23 +71,47 @@ impl Protection {
         )
     }
 
-    /// Build the engine for this configuration.
+    /// Build the engine for this configuration. Combined modes are
+    /// [`EngineStack`]s: split memory first, so NX sees which pages it
+    /// split; the shadow stack, when present, on top.
     pub fn engine(&self) -> Box<dyn ProtectionEngine> {
+        let split = |policy, response| -> Box<dyn ProtectionEngine> {
+            Box::new(SplitMemEngine::new(SplitMemConfig {
+                policy,
+                response,
+                ..SplitMemConfig::default()
+            }))
+        };
+        const COMBINED: &str = "split-memory+execute-disable";
         match self {
             Protection::Unprotected => Box::new(NullEngine),
             Protection::SplitMem(mode) => Box::new(SplitMemEngine::stand_alone(*mode)),
             Protection::SplitMemCustom(cfg) => Box::new(SplitMemEngine::new(cfg.clone())),
             Protection::Nx => Box::new(NxEngine::new()),
             Protection::NxResponse(mode) => Box::new(NxEngine::with_response(*mode)),
-            Protection::Combined(mode) => Box::new(CombinedEngine::new(*mode)),
+            Protection::Combined(mode) => Box::new(EngineStack::new(
+                COMBINED,
+                vec![
+                    split(SplitPolicy::MixedOnly, *mode),
+                    Box::new(NxEngine::new()),
+                ],
+            )),
+            Protection::CombinedFraction(f) => Box::new(EngineStack::new(
+                COMBINED,
+                vec![
+                    split(SplitPolicy::Fraction(*f), ResponseMode::Break),
+                    Box::new(NxEngine::new()),
+                ],
+            )),
             Protection::ShadowStack(mode) => Box::new(ShadowStackEngine::new(*mode)),
-            Protection::ShadowCombined(mode) => Box::new(ShadowCombinedEngine::new(*mode)),
-            Protection::CombinedFraction(f) => {
-                Box::new(CombinedEngine::with_config(SplitMemConfig {
-                    policy: SplitPolicy::Fraction(*f),
-                    ..SplitMemConfig::default()
-                }))
-            }
+            Protection::ShadowCombined(mode) => Box::new(EngineStack::new(
+                "shadow-stack+split-memory+execute-disable",
+                vec![
+                    Box::new(ShadowStackEngine::new(*mode)),
+                    split(SplitPolicy::MixedOnly, *mode),
+                    Box::new(NxEngine::new()),
+                ],
+            )),
         }
     }
 

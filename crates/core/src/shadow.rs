@@ -23,16 +23,14 @@
 //! The machine reports retired transfers as [`sm_machine::Trap::ControlFlow`]
 //! events only when an engine opts in via `wants_cfi_events`, so the other
 //! engines keep their exact cost model. Composition with split memory and
-//! NX is [`ShadowCombinedEngine`], the full defense-in-depth stack.
+//! NX is an [`EngineStack`] layer list, the full defense-in-depth stack
+//! (`Protection::ShadowCombined`).
 
-use crate::combined::CombinedEngine;
-use sm_kernel::engine::{CfiOutcome, FaultOutcome, ProtectionEngine, UdOutcome};
+use crate::stack::EngineStack;
+use sm_kernel::engine::{CfiOutcome, ProtectionEngine};
 use sm_kernel::events::{Event, ResponseMode};
-use sm_kernel::image::ExecImage;
 use sm_kernel::kernel::System;
 use sm_kernel::process::Pid;
-use sm_machine::cpu::PageFaultInfo;
-use sm_machine::pte::Frame;
 use sm_machine::snapshot::{Reader, Writer};
 use sm_machine::{CfiEvent, CfiKind};
 use std::collections::BTreeMap;
@@ -227,14 +225,7 @@ impl ProtectionEngine for ShadowStackEngine {
         self.ranges.remove(&pid.0);
     }
 
-    fn write_user_code(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        vaddr: u32,
-        bytes: &[u8],
-    ) -> Result<(), PageFaultInfo> {
-        sys.machine.copy_to_user(vaddr, bytes)?;
+    fn on_user_code_written(&mut self, _sys: &mut System, pid: Pid, vaddr: u32, _bytes: &[u8]) {
         // Signal delivery: the kernel seeds the handler frame so the
         // handler's `ret` lands on this trampoline — an address no `call`
         // ever pushed. CET's kernel does the matching shadow-stack push at
@@ -242,7 +233,6 @@ impl ProtectionEngine for ShadowStackEngine {
         // positive.
         self.stats.trampoline_pushes += 1;
         self.push(pid, vaddr);
-        Ok(())
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
@@ -328,133 +318,9 @@ impl ProtectionEngine for ShadowStackEngine {
     }
 }
 
-/// Defense in depth: shadow-stack/CFI over the combined
-/// split-memory + execute-disable engine. Injection is caught by the
-/// inner engines; code reuse by the shadow half.
-#[derive(Debug)]
-pub struct ShadowCombinedEngine {
-    /// The shadow-stack/CFI half.
-    pub shadow: ShadowStackEngine,
-    /// The split-memory + NX half.
-    pub inner: CombinedEngine,
-}
-
-impl ShadowCombinedEngine {
-    /// Build the full stack with one response policy across all three
-    /// detectors.
-    pub fn new(response: ResponseMode) -> ShadowCombinedEngine {
-        ShadowCombinedEngine {
-            shadow: ShadowStackEngine::new(response),
-            inner: CombinedEngine::new(response),
-        }
-    }
-}
-
-impl ProtectionEngine for ShadowCombinedEngine {
-    fn name(&self) -> &'static str {
-        "shadow-stack+split-memory+execute-disable"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn wants_cfi_events(&self) -> bool {
-        true
-    }
-
-    fn on_region_mapped(&mut self, sys: &mut System, pid: Pid, start: u32, end: u32) {
-        self.shadow.on_region_mapped(sys, pid, start, end);
-        self.inner.on_region_mapped(sys, pid, start, end);
-    }
-
-    fn on_page_mapped(&mut self, sys: &mut System, pid: Pid, vaddr: u32) {
-        self.inner.on_page_mapped(sys, pid, vaddr);
-    }
-
-    fn on_protection_fault(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        pf: PageFaultInfo,
-    ) -> FaultOutcome {
-        self.inner.on_protection_fault(sys, pid, pf)
-    }
-
-    fn on_debug_trap(&mut self, sys: &mut System, pid: Pid) -> bool {
-        self.inner.on_debug_trap(sys, pid)
-    }
-
-    fn on_invalid_opcode(&mut self, sys: &mut System, pid: Pid, eip: u32, opcode: u8) -> UdOutcome {
-        self.inner.on_invalid_opcode(sys, pid, eip, opcode)
-    }
-
-    fn on_control_flow(&mut self, sys: &mut System, pid: Pid, ev: CfiEvent) -> CfiOutcome {
-        self.shadow.on_control_flow(sys, pid, ev)
-    }
-
-    fn on_cow_copied(&mut self, sys: &mut System, pid: Pid, vaddr: u32, new_frame: Frame) {
-        self.inner.on_cow_copied(sys, pid, vaddr, new_frame);
-    }
-
-    fn on_fork(&mut self, sys: &mut System, parent: Pid, child: Pid) {
-        self.shadow.on_fork(sys, parent, child);
-        self.inner.on_fork(sys, parent, child);
-    }
-
-    fn on_unmap(&mut self, sys: &mut System, pid: Pid, start: u32, end: u32) {
-        self.shadow.on_unmap(sys, pid, start, end);
-        self.inner.on_unmap(sys, pid, start, end);
-    }
-
-    fn on_teardown(&mut self, sys: &mut System, pid: Pid) {
-        self.shadow.on_teardown(sys, pid);
-        self.inner.on_teardown(sys, pid);
-    }
-
-    fn verify_library(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        image: &ExecImage,
-    ) -> Result<(), String> {
-        self.inner.verify_library(sys, pid, image)
-    }
-
-    fn write_user_code(
-        &mut self,
-        sys: &mut System,
-        pid: Pid,
-        vaddr: u32,
-        bytes: &[u8],
-    ) -> Result<(), PageFaultInfo> {
-        // The inner engine performs the actual (split-aware) write and NX
-        // exemption; the shadow half only needs its trampoline push.
-        self.inner.write_user_code(sys, pid, vaddr, bytes)?;
-        self.shadow.stats.trampoline_pushes += 1;
-        self.shadow.push(pid, vaddr);
-        Ok(())
-    }
-
-    fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&self.shadow.snapshot_state());
-        w.bytes(&self.inner.snapshot_state());
-        w.into_bytes()
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let s = |e: sm_machine::snapshot::SnapshotError| e.to_string();
-        let mut r = Reader::new(bytes);
-        let shadow = r.bytes().map_err(s)?;
-        let inner = r.bytes().map_err(s)?;
-        if !r.is_done() {
-            return Err("trailing bytes in shadow-combined engine state".into());
-        }
-        self.shadow.restore_state(&shadow)?;
-        self.inner.restore_state(&inner)
-    }
-}
+/// The old name of the shadow-stack + split-memory + execute-disable
+/// engine, kept because external code downcasts to it by this path.
+pub type ShadowCombinedEngine = EngineStack;
 
 #[cfg(test)]
 mod tests {

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use sm_core::engine::{SplitMemConfig, SplitMemEngine};
+use sm_core::find;
 use sm_core::split::SplitPolicy;
 use sm_core::verify::Verifier;
 use sm_kernel::events::{Event, ResponseMode};
@@ -47,7 +48,7 @@ fn itlb_and_dtlb_disagree_on_a_split_page() {
     } else {
         // Timing may have flushed one of them; the engine bookkeeping
         // still proves the split.
-        let engine = k.engine.as_any().downcast_ref::<SplitMemEngine>().unwrap();
+        let engine = find::<SplitMemEngine>(k.engine.as_ref()).unwrap();
         let sp = engine.table(pid).and_then(|t| t.get(code_vpn)).unwrap();
         assert_ne!(sp.code.unwrap(), sp.data);
     }
@@ -78,7 +79,7 @@ fn data_reload_leaves_pte_restricted_but_tlb_permissive() {
         "PTE stays supervisor-restricted at rest"
     );
     assert!(pte::has(entry, pte::SPLIT));
-    let engine = k.engine.as_any().downcast_ref::<SplitMemEngine>().unwrap();
+    let engine = find::<SplitMemEngine>(k.engine.as_ref()).unwrap();
     assert!(engine.stats.data_reloads >= 1);
     assert_eq!(
         engine.stats.detections, 0,
@@ -189,7 +190,7 @@ fn fraction_policy_is_deterministic_per_seed() {
             .build()
             .unwrap();
         let pid = k.spawn(&prog.image).unwrap();
-        let e = k.engine.as_any().downcast_ref::<SplitMemEngine>().unwrap();
+        let e = find::<SplitMemEngine>(k.engine.as_ref()).unwrap();
         e.table(pid).map_or(0, |t| t.len())
     };
     assert_eq!(count_split(7), count_split(7), "same seed, same draw");

@@ -5,8 +5,9 @@
 //! memory management, signal handling — §5.1–5.5). This trait exposes
 //! exactly those patch points so protection schemes plug into the kernel the
 //! way the paper's patch plugs into Linux. `sm-core` provides the split
-//! memory engine, the execute-disable baseline and the combined engine; the
-//! kernel ships only the [`NullEngine`] (an unprotected system).
+//! memory, execute-disable and shadow-stack engines, and an engine stack
+//! that composes them (the paper's combined mode); the kernel ships only
+//! the [`NullEngine`] (an unprotected system).
 
 use crate::image::ExecImage;
 use crate::kernel::System;
@@ -41,8 +42,9 @@ pub enum UdOutcome {
     Terminate,
 }
 
-/// Outcome of [`ProtectionEngine::on_control_flow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Outcome of [`ProtectionEngine::on_control_flow`]. Variants are ordered
+/// weakest to strongest, so composed engines can take the `max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CfiOutcome {
     /// The transfer is legitimate (or the engine does not police this
     /// kind); execution continues with no cost charged.
@@ -174,8 +176,8 @@ pub trait ProtectionEngine: Send {
 
     /// The kernel needs to place *legitimate* executable bytes into user
     /// memory (the signal-return trampoline on the stack — the mixed-page
-    /// case of paper §2). The default writes through the data path; the
-    /// split-memory engine also installs the bytes on the code frames.
+    /// case of paper §2). The default writes through the data path, then
+    /// lets the engine react in [`ProtectionEngine::on_user_code_written`].
     ///
     /// # Errors
     ///
@@ -187,8 +189,17 @@ pub trait ProtectionEngine: Send {
         vaddr: u32,
         bytes: &[u8],
     ) -> Result<(), PageFaultInfo> {
-        let _ = pid;
-        sys.machine.copy_to_user(vaddr, bytes)
+        sys.machine.copy_to_user(vaddr, bytes)?;
+        self.on_user_code_written(sys, pid, vaddr, bytes);
+        Ok(())
+    }
+
+    /// `bytes` of kernel-emitted code were just copied to `vaddr` through
+    /// the data path: the split-memory engine mirrors them onto the code
+    /// frames, execute-disable exempts the pages, the shadow stack pushes
+    /// the trampoline.
+    fn on_user_code_written(&mut self, sys: &mut System, pid: Pid, vaddr: u32, bytes: &[u8]) {
+        let _ = (sys, pid, vaddr, bytes);
     }
 
     /// Serialize the engine's internal bookkeeping (split tables, counters)

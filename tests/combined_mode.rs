@@ -1,8 +1,8 @@
 //! Combined NX + split-memory mode (paper §4.2.1, §6.2): NX covers clean
 //! pages, splitting covers what NX cannot.
 
-use sm_core::combined::CombinedEngine;
 use sm_core::engine::SplitMemEngine;
+use sm_core::find;
 use sm_core::nx::NxEngine;
 use sm_core::setup::Protection;
 use sm_kernel::engine::ProtectionEngine;
@@ -12,14 +12,12 @@ use sm_kernel::userlib::ProgramBuilder;
 use sm_machine::MachineConfig;
 
 fn combined_kernel() -> Kernel {
-    Kernel::new(
-        MachineConfig {
-            nx_enabled: true,
-            ..MachineConfig::default()
-        },
-        KernelConfig::default(),
-        Box::new(CombinedEngine::new(ResponseMode::Break)),
-    )
+    Protection::Combined(ResponseMode::Break).kernel(KernelConfig::default())
+}
+
+fn split_pages(k: &Kernel, pid: sm_kernel::Pid) -> usize {
+    let split = find::<SplitMemEngine>(k.engine.as_ref()).unwrap();
+    split.table(pid).map_or(0, |t| t.len())
 }
 
 #[test]
@@ -31,9 +29,14 @@ fn clean_binaries_get_nx_only() {
         .unwrap();
     let mut k = combined_kernel();
     let pid = k.spawn(&prog.image).unwrap();
-    let engine = k.engine.as_any().downcast_ref::<CombinedEngine>().unwrap();
-    assert!(engine.split.table(pid).is_none_or(|t| t.is_empty()));
-    assert!(engine.nx.stats.pages_marked > 0);
+    assert_eq!(split_pages(&k, pid), 0);
+    assert!(
+        find::<NxEngine>(k.engine.as_ref())
+            .unwrap()
+            .stats
+            .pages_marked
+            > 0
+    );
     k.run(10_000_000);
     assert_eq!(k.sys.proc(pid).exit_code, Some(0));
 }
@@ -47,9 +50,7 @@ fn mixed_binaries_get_their_mixed_pages_split() {
         .unwrap();
     let mut k = combined_kernel();
     let pid = k.spawn(&prog.image).unwrap();
-    let engine = k.engine.as_any().downcast_ref::<CombinedEngine>().unwrap();
-    let split_pages = engine.split.table(pid).map_or(0, |t| t.len());
-    assert!(split_pages > 0, "mixed pages must be split");
+    assert!(split_pages(&k, pid) > 0, "mixed pages must be split");
     k.run(10_000_000);
     assert_eq!(k.sys.proc(pid).exit_code, Some(0));
 }
@@ -110,8 +111,14 @@ fn combined_mode_stops_injection_on_both_page_kinds() {
 #[test]
 fn engines_report_their_names() {
     assert_eq!(
-        CombinedEngine::new(ResponseMode::Break).name(),
+        Protection::Combined(ResponseMode::Break).engine().name(),
         "split-memory+execute-disable"
+    );
+    assert_eq!(
+        Protection::ShadowCombined(ResponseMode::Break)
+            .engine()
+            .name(),
+        "shadow-stack+split-memory+execute-disable"
     );
     assert_eq!(NxEngine::new().name(), "execute-disable");
     assert_eq!(
@@ -131,7 +138,7 @@ fn fraction_policy_splits_roughly_the_requested_share() {
         .build()
         .unwrap();
     let mut total_pages = 0usize;
-    let mut split_pages = 0usize;
+    let mut split_total = 0usize;
     for seed in 0..6 {
         let mut k = Kernel::new(
             MachineConfig {
@@ -145,12 +152,11 @@ fn fraction_policy_splits_roughly_the_requested_share() {
             Protection::CombinedFraction(0.5).engine(),
         );
         let pid = k.spawn(&prog.image).unwrap();
-        let engine = k.engine.as_any().downcast_ref::<CombinedEngine>().unwrap();
-        split_pages += engine.split.table(pid).map_or(0, |t| t.len());
+        split_total += split_pages(&k, pid);
         // ~17 data pages + 1 code page + 1 stack page eagerly mapped.
         total_pages += 19;
     }
-    let share = split_pages as f64 / total_pages as f64;
+    let share = split_total as f64 / total_pages as f64;
     assert!(
         (0.3..=0.7).contains(&share),
         "Fraction(0.5) split {share:.2} of pages"

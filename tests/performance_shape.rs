@@ -312,6 +312,6 @@ fn lazy_mode_still_foils_injection() {
     assert_ne!(k.sys.proc(pid).exit_code, Some(42));
     assert!(k.sys.events.first_detection().is_some());
     // The detection required materialising the stack page's code half.
-    let engine = k.engine.as_any().downcast_ref::<SplitMemEngine>().unwrap();
+    let engine = sm_core::find::<SplitMemEngine>(k.engine.as_ref()).unwrap();
     assert!(engine.stats.lazy_materializations > 0);
 }

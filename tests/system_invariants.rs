@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use sm_attacks::shellcode;
+use sm_bench::chaos::mixed_patch_program;
 use sm_core::engine::{SplitMemConfig, SplitMemEngine};
+use sm_core::invariants;
 use sm_core::setup::Protection;
 use sm_kernel::engine::NullEngine;
 use sm_kernel::events::ResponseMode;
@@ -71,6 +73,40 @@ fn no_frames_leak_across_any_engine() {
     }
 }
 
+/// Every configuration `Protection` can build, stacks included, keeps the
+/// structural invariants while a mixed-segment guest is alive. The slice
+/// stride is far below the guest's few-thousand-cycle lifetime, so the
+/// checker sees its split mixed pages, not just a zombie.
+#[test]
+fn every_protection_keeps_invariants_on_a_live_mixed_page_guest() {
+    let modes = [
+        ResponseMode::Break,
+        ResponseMode::Observe,
+        ResponseMode::Forensics,
+    ];
+    let mut protections: Vec<Protection> = vec![Protection::Unprotected];
+    protections.extend(modes.map(Protection::SplitMem));
+    protections.extend([
+        Protection::Nx,
+        Protection::NxResponse(ResponseMode::Observe),
+        Protection::Combined(ResponseMode::Break),
+        Protection::Combined(ResponseMode::Observe),
+        Protection::CombinedFraction(0.5),
+        Protection::ShadowStack(ResponseMode::Break),
+        Protection::ShadowCombined(ResponseMode::Break),
+        Protection::ShadowCombined(ResponseMode::Observe),
+    ]);
+    let image = mixed_patch_program().image;
+    for p in &protections {
+        let mut k = p.kernel(KernelConfig::default());
+        k.spawn(&image).unwrap();
+        assert_eq!(invariants::check(&k), [], "after spawn under {}", p.label());
+        let (exit, violations) = invariants::run_with_checks(&mut k, 10_000_000, 500);
+        assert_eq!(violations, [], "while running under {}", p.label());
+        assert_eq!(exit, RunExit::AllExited, "under {}", p.label());
+    }
+}
+
 #[test]
 fn fork_bomb_of_split_processes_balances_frames() {
     let prog = ProgramBuilder::new("/bin/forker")
@@ -133,7 +169,7 @@ fn tlb_snapshot_survives_pte_restriction() {
     assert_eq!(k.sys.proc(pid).exit_code, Some(42));
     // The engine recorded exactly one data reload for that page even
     // though it was read twice.
-    let engine = k.engine.as_any().downcast_ref::<SplitMemEngine>().unwrap();
+    let engine = sm_core::find::<SplitMemEngine>(k.engine.as_ref()).unwrap();
     assert!(engine.stats.data_reloads >= 1);
     let _ = data_page;
 }
