@@ -40,12 +40,11 @@
 //! address needs the info leak.
 
 use crate::harness::{
-    classify_shell, ext_recv_wait, ext_send, external_connect_patiently, kernel_with_on,
-    AttackOutcome, Protection,
+    classify_shell, ext_recv_wait, ext_send, external_connect_patiently, kernel_with,
+    AttackOutcome, RunSpec,
 };
-use sm_kernel::kernel::{Kernel, KernelConfig};
+use sm_kernel::kernel::Kernel;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::TlbPreset;
 
 /// The code-reuse attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,17 +103,12 @@ pub struct ReuseReport {
     pub marker: Option<String>,
 }
 
-/// Run one code-reuse attack under a protection configuration.
-pub fn run_reuse(attack: ReuseAttack, protection: &Protection) -> ReuseReport {
-    run_reuse_on(attack, protection, TlbPreset::default())
-}
-
-/// [`run_reuse`] on an explicit TLB geometry.
-pub fn run_reuse_on(attack: ReuseAttack, protection: &Protection, tlb: TlbPreset) -> ReuseReport {
+/// Run one code-reuse attack under `spec`.
+pub fn run_reuse(attack: ReuseAttack, spec: &RunSpec) -> ReuseReport {
     match attack {
-        ReuseAttack::Ret2Libc => run_ret2libc(protection, tlb),
-        ReuseAttack::RopChain => run_rop_chain(protection, tlb),
-        ReuseAttack::DcrFingerprint => run_fingerprint(protection, tlb),
+        ReuseAttack::Ret2Libc => run_ret2libc(spec),
+        ReuseAttack::RopChain => run_rop_chain(spec),
+        ReuseAttack::DcrFingerprint => run_fingerprint(spec),
     }
 }
 
@@ -123,8 +117,8 @@ pub fn run_reuse_on(attack: ReuseAttack, protection: &Protection, tlb: TlbPreset
 
 const BUDGET: u64 = 4_000_000;
 
-fn spawn_victim(protection: &Protection, tlb: TlbPreset, prog: &BuiltProgram) -> Kernel {
-    let mut k = kernel_with_on(protection, tlb, KernelConfig::default());
+fn spawn_victim(spec: &RunSpec, prog: &BuiltProgram) -> Kernel {
+    let mut k = kernel_with(spec);
     k.spawn(&prog.image).expect("victim spawns");
     k
 }
@@ -246,17 +240,9 @@ pub fn libd_server() -> BuiltProgram {
         .expect("libd server assembles")
 }
 
-fn libd_connect(protection: &Protection, tlb: TlbPreset) -> (Kernel, crate::harness::ExternalConn) {
-    libd_connect_with(protection, tlb, KernelConfig::default())
-}
-
-fn libd_connect_with(
-    protection: &Protection,
-    tlb: TlbPreset,
-    kconfig: KernelConfig,
-) -> (Kernel, crate::harness::ExternalConn) {
+fn libd_connect(spec: &RunSpec) -> (Kernel, crate::harness::ExternalConn) {
     let prog = libd_server();
-    let mut k = kernel_with_on(protection, tlb, kconfig);
+    let mut k = kernel_with(spec);
     k.spawn(&prog.image).expect("victim spawns");
     let conn = external_connect_patiently(&mut k, 8080, BUDGET).expect("libd listening");
     // Drain the banner (the buffer leak is unused by ret2libc/ROP — the
@@ -271,9 +257,9 @@ fn send_overflow(k: &mut Kernel, conn: &crate::harness::ExternalConn, payload: &
     ext_send(k, conn, payload);
 }
 
-fn run_ret2libc(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
+fn run_ret2libc(spec: &RunSpec) -> ReuseReport {
     let prog = libd_server();
-    let (mut k, conn) = libd_connect(protection, tlb);
+    let (mut k, conn) = libd_connect(spec);
     // 128 bytes of pure filler (no code!), junk saved-ebp, and the
     // address of the victim's own lib_system over the return address.
     let mut payload = vec![b'A'; 128];
@@ -313,9 +299,9 @@ fn rop_chain(prog: &BuiltProgram) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
-fn run_rop_chain(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
+fn run_rop_chain(spec: &RunSpec) -> ReuseReport {
     let prog = libd_server();
-    let (mut k, conn) = libd_connect(protection, tlb);
+    let (mut k, conn) = libd_connect(spec);
     let mut payload = vec![b'A'; 128];
     payload.extend_from_slice(&0x41414141u32.to_le_bytes()); // saved ebp
     payload.extend_from_slice(&rop_chain(&prog));
@@ -323,17 +309,14 @@ fn run_rop_chain(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
     finish(ReuseAttack::RopChain, k, None)
 }
 
-/// The ROP chain with the trace ring enabled: returns the report plus the
-/// serialized trace JSONL, so tests can pin a golden detection trace for a
-/// hijack the paper's engines cannot see.
-pub fn run_rop_traced(protection: &Protection, trace: u32) -> (ReuseReport, String) {
+/// The ROP chain, returning the report plus the serialized trace JSONL
+/// (arm layers in `spec.kconfig.trace`), so tests can pin a golden
+/// detection trace for a hijack the paper's engines cannot see.
+pub fn run_rop_traced(spec: &RunSpec) -> (ReuseReport, String) {
     let prog = libd_server();
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        trace,
-        ..KernelConfig::default()
-    };
-    let (mut k, conn) = libd_connect_with(protection, TlbPreset::default(), kconfig);
+    let mut spec = spec.clone();
+    spec.kconfig.aslr_stack = false;
+    let (mut k, conn) = libd_connect(&spec);
     let mut payload = vec![b'A'; 128];
     payload.extend_from_slice(&0x41414141u32.to_le_bytes()); // saved ebp
     payload.extend_from_slice(&rop_chain(&prog));
@@ -470,9 +453,9 @@ pub fn fingerprint_probe(expected_page: u32, fd: u32) -> Vec<u8> {
         .bytes
 }
 
-fn run_fingerprint(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
+fn run_fingerprint(spec: &RunSpec) -> ReuseReport {
     let prog = fingerd_server();
-    let mut k = spawn_victim(protection, tlb, &prog);
+    let mut k = spawn_victim(spec, &prog);
     let conn = external_connect_patiently(&mut k, 79, BUDGET).expect("fingerd listening");
     let banner = String::from_utf8_lossy(&ext_recv_wait(&mut k, &conn, BUDGET)).into_owned();
     let bufaddr = parse_leak(&banner, 0).expect("buffer leak in banner");
@@ -495,8 +478,8 @@ fn run_fingerprint(protection: &Protection, tlb: TlbPreset) -> ReuseReport {
 /// in-bounds request and lets the handler return normally. Used to pin
 /// that the shadow-stack engine does not false-positive on legitimate
 /// call/ret traffic.
-pub fn run_libd_benign(protection: &Protection) -> (Kernel, usize) {
-    let (mut k, conn) = libd_connect(protection, TlbPreset::default());
+pub fn run_libd_benign(spec: &RunSpec) -> (Kernel, usize) {
+    let (mut k, conn) = libd_connect(spec);
     send_overflow(&mut k, &conn, b"hello");
     k.run(BUDGET);
     let d = crate::harness::detections(&k);
@@ -506,6 +489,7 @@ pub fn run_libd_benign(protection: &Protection) -> (Kernel, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Protection;
     use sm_kernel::events::ResponseMode;
 
     /// The paper's §7 concession, pinned: both code-reuse attacks get
@@ -521,7 +505,7 @@ mod tests {
             Protection::Combined(ResponseMode::Break),
         ] {
             for a in [ReuseAttack::Ret2Libc, ReuseAttack::RopChain] {
-                let r = run_reuse(a, &p);
+                let r = run_reuse(a, &RunSpec::new(p.clone()));
                 assert_eq!(
                     r.outcome,
                     AttackOutcome::ShellSpawned,
@@ -543,7 +527,7 @@ mod tests {
             Protection::ShadowCombined(ResponseMode::Break),
         ] {
             for a in [ReuseAttack::Ret2Libc, ReuseAttack::RopChain] {
-                let r = run_reuse(a, &p);
+                let r = run_reuse(a, &RunSpec::new(p.clone()));
                 assert_eq!(
                     r.outcome,
                     AttackOutcome::Foiled { detected: true },
@@ -564,7 +548,7 @@ mod tests {
             Protection::ShadowStack(ResponseMode::Break),
             Protection::ShadowCombined(ResponseMode::Break),
         ] {
-            let (k, detections) = run_libd_benign(&p);
+            let (k, detections) = run_libd_benign(&RunSpec::new(p.clone()));
             assert_eq!(detections, 0, "false positive under {p:?}");
             assert!(
                 !k.sys.events.execed(crate::shell::SHELL_PATH),
@@ -581,7 +565,10 @@ mod tests {
     #[test]
     fn fingerprint_unmasks_nx_honeypot_but_not_split_memory() {
         // Baseline: unprotected, the probe finds clean ground.
-        let r = run_reuse(ReuseAttack::DcrFingerprint, &Protection::Unprotected);
+        let r = run_reuse(
+            ReuseAttack::DcrFingerprint,
+            &RunSpec::new(Protection::Unprotected),
+        );
         assert_eq!(r.marker.as_deref(), Some("CLEN"), "{r:?}");
         assert_eq!(r.outcome, AttackOutcome::ShellSpawned);
         assert_eq!(r.detections, 0);
@@ -589,7 +576,7 @@ mod tests {
         // NX observe mode: relocated to the decoy, fingerprint fires.
         let r = run_reuse(
             ReuseAttack::DcrFingerprint,
-            &Protection::NxResponse(ResponseMode::Observe),
+            &RunSpec::new(Protection::NxResponse(ResponseMode::Observe)),
         );
         assert_eq!(r.marker.as_deref(), Some("HPOT"), "{r:?}");
         assert_ne!(r.outcome, AttackOutcome::ShellSpawned);
@@ -599,7 +586,7 @@ mod tests {
         // but the kernel logged everything.
         let r = run_reuse(
             ReuseAttack::DcrFingerprint,
-            &Protection::SplitMem(ResponseMode::Observe),
+            &RunSpec::new(Protection::SplitMem(ResponseMode::Observe)),
         );
         assert_eq!(r.marker.as_deref(), Some("CLEN"), "{r:?}");
         assert_eq!(r.outcome, AttackOutcome::ShellSpawned);
@@ -615,7 +602,7 @@ mod tests {
             Protection::Nx,
             Protection::ShadowStack(ResponseMode::Break),
         ] {
-            let r = run_reuse(ReuseAttack::DcrFingerprint, &p);
+            let r = run_reuse(ReuseAttack::DcrFingerprint, &RunSpec::new(p.clone()));
             assert!(!r.outcome.succeeded(), "{p:?}: {r:?}");
             assert!(r.detections > 0, "{p:?}: {r:?}");
             assert_eq!(r.marker, None, "{p:?}: probe ran far enough to report");

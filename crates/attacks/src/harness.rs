@@ -10,26 +10,16 @@
 use crate::shell::{install_shell, SHELL_PATH};
 use sm_kernel::events::Event;
 use sm_kernel::fs::PipeId;
-use sm_kernel::kernel::{Kernel, KernelConfig};
+use sm_kernel::kernel::Kernel;
 use sm_kernel::process::{Pid, ProcState, WaitReason};
 
-pub use sm_core::setup::Protection;
+pub use sm_core::setup::{Protection, RunSpec};
 
-/// Build a kernel configured for `protection`, with the shell installed
-/// (so successful exploits have something to exec).
-pub fn kernel_with(protection: &Protection, kconfig: KernelConfig) -> Kernel {
-    kernel_with_on(protection, sm_machine::TlbPreset::default(), kconfig)
-}
-
-/// [`kernel_with`] on an explicit TLB geometry (the attack corpus must
-/// hold on the paper's real testbed hardware, not just the idealised
-/// fully-associative model).
-pub fn kernel_with_on(
-    protection: &Protection,
-    tlb: sm_machine::TlbPreset,
-    kconfig: KernelConfig,
-) -> Kernel {
-    let mut k = protection.kernel_on(tlb, kconfig);
+/// Build a kernel for `spec`, with the shell installed (so successful
+/// exploits have something to exec). The attack corpus must hold on the
+/// paper's real testbed hardware too, so the TLB geometry is the spec's.
+pub fn kernel_with(spec: &RunSpec) -> Kernel {
+    let mut k = spec.kernel();
     install_shell(&mut k.sys.fs);
     k
 }

@@ -17,14 +17,13 @@
 //! from an attacker machine.
 
 use crate::harness::{
-    classify_shell, drive_shell, ext_recv_wait, ext_send, external_connect_patiently,
-    kernel_with_on, AttackOutcome, Protection,
+    classify_shell, drive_shell, ext_recv_wait, ext_send, external_connect_patiently, kernel_with,
+    AttackOutcome, RunSpec,
 };
 use crate::shellcode;
-use sm_kernel::kernel::{Kernel, KernelConfig};
+use sm_kernel::kernel::Kernel;
 use sm_kernel::process::Pid;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::TlbPreset;
 
 /// The five emulated attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,25 +102,16 @@ pub struct ScenarioReport {
     pub transcript: Option<String>,
 }
 
-/// Run one scenario under a protection configuration.
-pub fn run_scenario(scenario: Scenario, protection: &Protection) -> ScenarioReport {
-    run_scenario_on(scenario, protection, TlbPreset::default())
-}
-
-/// [`run_scenario`] on an explicit TLB geometry. Verdicts must not depend
-/// on TLB shape: the split check fires on the miss path regardless of why
-/// the entry was absent.
-pub fn run_scenario_on(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> ScenarioReport {
+/// Run one scenario under `spec`. Verdicts must not depend on TLB shape:
+/// the split check fires on the miss path regardless of why the entry was
+/// absent.
+pub fn run_scenario(scenario: Scenario, spec: &RunSpec) -> ScenarioReport {
     match scenario {
-        Scenario::ApacheSsl => run_apache(protection, tlb),
-        Scenario::BindTsig => run_bind(protection, tlb),
-        Scenario::ProftpdAscii => run_proftpd(protection, tlb),
-        Scenario::SambaTrans2 => run_samba(protection, tlb),
-        Scenario::WuFtpdGlob => run_wuftpd(protection, tlb),
+        Scenario::ApacheSsl => run_apache(spec),
+        Scenario::BindTsig => run_bind(spec),
+        Scenario::ProftpdAscii => run_proftpd(spec),
+        Scenario::SambaTrans2 => run_samba(spec),
+        Scenario::WuFtpdGlob => run_wuftpd_with(spec).0,
     }
 }
 
@@ -130,31 +120,10 @@ pub fn run_scenario_on(
 
 const BUDGET: u64 = 4_000_000;
 
-fn spawn_server(
-    protection: &Protection,
-    tlb: TlbPreset,
-    prog: &BuiltProgram,
-    aslr: bool,
-) -> (Kernel, Pid) {
-    spawn_server_traced(protection, tlb, prog, aslr, 0)
-}
-
-fn spawn_server_traced(
-    protection: &Protection,
-    tlb: TlbPreset,
-    prog: &BuiltProgram,
-    aslr: bool,
-    trace: u32,
-) -> (Kernel, Pid) {
-    let mut k = kernel_with_on(
-        protection,
-        tlb,
-        KernelConfig {
-            aslr_stack: aslr,
-            trace,
-            ..KernelConfig::default()
-        },
-    );
+fn spawn_server(spec: &RunSpec, prog: &BuiltProgram, aslr: bool) -> (Kernel, Pid) {
+    let mut spec = spec.clone();
+    spec.kconfig.aslr_stack = aslr;
+    let mut k = kernel_with(&spec);
     let pid = k.spawn(&prog.image).expect("server spawns");
     (k, pid)
 }
@@ -260,9 +229,9 @@ pub fn apache_server() -> BuiltProgram {
         .expect("apache server assembles")
 }
 
-fn run_apache(protection: &Protection, tlb: TlbPreset) -> ScenarioReport {
+fn run_apache(spec: &RunSpec) -> ScenarioReport {
     let prog = apache_server();
-    let (mut k, _pid) = spawn_server(protection, tlb, &prog, false);
+    let (mut k, _pid) = spawn_server(spec, &prog, false);
     let conn = external_connect_patiently(&mut k, 443, BUDGET).expect("server listening");
     let banner = String::from_utf8_lossy(&ext_recv_wait(&mut k, &conn, BUDGET)).into_owned();
     let keybuf = parse_leak(&banner, 0).expect("leak in banner");
@@ -336,9 +305,9 @@ pub fn bind_server() -> BuiltProgram {
         .expect("bind server assembles")
 }
 
-fn run_bind(protection: &Protection, tlb: TlbPreset) -> ScenarioReport {
+fn run_bind(spec: &RunSpec) -> ScenarioReport {
     let prog = bind_server();
-    let (mut k, _pid) = spawn_server(protection, tlb, &prog, false);
+    let (mut k, _pid) = spawn_server(spec, &prog, false);
     let conn = external_connect_patiently(&mut k, 53, BUDGET).expect("server listening");
     let banner = String::from_utf8_lossy(&ext_recv_wait(&mut k, &conn, BUDGET)).into_owned();
     let bufaddr = parse_leak(&banner, 0).expect("leak in banner");
@@ -472,9 +441,9 @@ pub fn proftpd_server() -> BuiltProgram {
         .expect("proftpd server assembles")
 }
 
-fn run_proftpd(protection: &Protection, tlb: TlbPreset) -> ScenarioReport {
+fn run_proftpd(spec: &RunSpec) -> ScenarioReport {
     let prog = proftpd_server();
-    let (mut k, _pid) = spawn_server(protection, tlb, &prog, false);
+    let (mut k, _pid) = spawn_server(spec, &prog, false);
     let conn = external_connect_patiently(&mut k, 21, BUDGET).expect("server listening");
     let banner = String::from_utf8_lossy(&ext_recv_wait(&mut k, &conn, BUDGET)).into_owned();
     let xlbuf = parse_leak(&banner, 1).expect("leak in banner"); // 0 is "220"
@@ -556,11 +525,11 @@ pub fn samba_server() -> BuiltProgram {
         .expect("samba server assembles")
 }
 
-fn run_samba(protection: &Protection, tlb: TlbPreset) -> ScenarioReport {
+fn run_samba(spec: &RunSpec) -> ScenarioReport {
     let prog = samba_server();
     // Stack ASLR on: this is the 2.6-kernel randomisation the eSDee
     // exploit brute-forces (paper §6.1.2).
-    let (mut k, pid) = spawn_server(protection, tlb, &prog, true);
+    let (mut k, pid) = spawn_server(spec, &prog, true);
     k.run(BUDGET);
     // "The exploit was helped by providing a better first guess using
     // insider information about the stack location" — we read the
@@ -683,37 +652,16 @@ pub fn wuftpd_server() -> BuiltProgram {
         .expect("wuftpd server assembles")
 }
 
-fn run_wuftpd(protection: &Protection, tlb: TlbPreset) -> ScenarioReport {
-    run_wuftpd_with_on(protection, tlb).0
-}
-
 /// Like [`run_scenario`] for WU-FTPD, but also returns the kernel and the
-/// attacker connection so demos (Fig. 5) can keep interacting.
+/// attacker connection so demos (Fig. 5) can keep interacting. With a
+/// trace mask in `spec.kconfig.trace`, the returned kernel's ring holds
+/// the exploit's cycle-stamped event stream, which the Fig. 5
+/// response-mode demo renders with `--trace`.
 pub fn run_wuftpd_with(
-    protection: &Protection,
-) -> (ScenarioReport, Kernel, Option<crate::harness::ExternalConn>) {
-    run_wuftpd_with_on(protection, TlbPreset::default())
-}
-
-/// [`run_wuftpd_with`] on an explicit TLB geometry.
-pub fn run_wuftpd_with_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> (ScenarioReport, Kernel, Option<crate::harness::ExternalConn>) {
-    run_wuftpd_traced_on(protection, tlb, 0)
-}
-
-/// [`run_wuftpd_with_on`] with the trace subsystem armed (`trace` is a
-/// [`sm_machine::trace::mask`] bitmask): the returned kernel's ring holds
-/// the exploit's cycle-stamped event stream, which the Fig. 5 response-mode
-/// demo renders with `--trace`.
-pub fn run_wuftpd_traced_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    trace: u32,
+    spec: &RunSpec,
 ) -> (ScenarioReport, Kernel, Option<crate::harness::ExternalConn>) {
     let prog = wuftpd_server();
-    let (mut k, _pid) = spawn_server_traced(protection, tlb, &prog, false, trace);
+    let (mut k, _pid) = spawn_server(spec, &prog, false);
     let conn = external_connect_patiently(&mut k, 2121, BUDGET).expect("server listening");
     let banner = String::from_utf8_lossy(&ext_recv_wait(&mut k, &conn, BUDGET)).into_owned();
     let gbuf = parse_leak(&banner, 1).expect("gbuf leak");
@@ -761,12 +709,13 @@ pub fn run_wuftpd_traced_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Protection;
     use sm_kernel::events::ResponseMode;
 
     #[test]
     fn all_five_succeed_unprotected() {
         for s in Scenario::ALL {
-            let r = run_scenario(s, &Protection::Unprotected);
+            let r = run_scenario(s, &RunSpec::new(Protection::Unprotected));
             assert_eq!(
                 r.outcome,
                 AttackOutcome::ShellSpawned,
@@ -781,7 +730,7 @@ mod tests {
     #[test]
     fn all_five_foiled_by_split_memory() {
         for s in Scenario::ALL {
-            let r = run_scenario(s, &Protection::SplitMem(ResponseMode::Break));
+            let r = run_scenario(s, &RunSpec::new(Protection::SplitMem(ResponseMode::Break)));
             assert!(
                 !r.outcome.succeeded(),
                 "{} succeeded under split memory",
@@ -797,7 +746,7 @@ mod tests {
         // shell, but the kernel logged the injection first.
         let r = run_scenario(
             Scenario::WuFtpdGlob,
-            &Protection::SplitMem(ResponseMode::Observe),
+            &RunSpec::new(Protection::SplitMem(ResponseMode::Observe)),
         );
         assert_eq!(r.outcome, AttackOutcome::ShellSpawned, "{r:?}");
         assert!(r.detections > 0);

@@ -15,9 +15,8 @@
 //! address, and the trigger transfers control. The payload is an
 //! `exit(42)` marker, so "attack succeeded" is an exit status of 42.
 
-use crate::harness::{classify_marker, kernel_with_on, AttackOutcome, Protection};
+use crate::harness::{classify_marker, kernel_with, AttackOutcome, RunSpec};
 use crate::shellcode::{self, as_byte_directive};
-use sm_kernel::kernel::KernelConfig;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
 
 /// Exit status that proves the injected payload executed.
@@ -265,28 +264,15 @@ pub fn build_case(case: Case) -> Option<BuiltProgram> {
     Some(prog)
 }
 
-/// Run one cell under a protection configuration. `None` for N/A cells.
-pub fn run_case(case: Case, protection: &Protection) -> Option<AttackOutcome> {
-    run_case_on(case, protection, sm_machine::TlbPreset::default())
-}
-
-/// [`run_case`] on an explicit TLB geometry. The protection verdict must
-/// not depend on TLB shape — set conflicts change *when* the split check
-/// runs, never *whether* it runs before a fetch from an unblessed page.
-pub fn run_case_on(
-    case: Case,
-    protection: &Protection,
-    tlb: sm_machine::TlbPreset,
-) -> Option<AttackOutcome> {
+/// Run one cell under `spec`. `None` for N/A cells. The protection
+/// verdict must not depend on TLB shape — set conflicts change *when* the
+/// split check runs, never *whether* it runs before a fetch from an
+/// unblessed page.
+pub fn run_case(case: Case, spec: &RunSpec) -> Option<AttackOutcome> {
     let prog = build_case(case)?;
-    let mut k = kernel_with_on(
-        protection,
-        tlb,
-        KernelConfig {
-            aslr_stack: false, // the benchmark assumes known addresses
-            ..KernelConfig::default()
-        },
-    );
+    let mut spec = spec.clone();
+    spec.kconfig.aslr_stack = false; // the benchmark assumes known addresses
+    let mut k = kernel_with(&spec);
     let pid = k.spawn(&prog.image).expect("spawn");
     k.run(80_000_000);
     Some(classify_marker(&k, pid, MARKER))
@@ -295,6 +281,7 @@ pub fn run_case_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Protection;
     use sm_kernel::events::ResponseMode;
 
     #[test]
@@ -307,7 +294,7 @@ mod tests {
     #[test]
     fn every_applicable_case_succeeds_unprotected() {
         for case in all_cases() {
-            let Some(outcome) = run_case(case, &Protection::Unprotected) else {
+            let Some(outcome) = run_case(case, &RunSpec::new(Protection::Unprotected)) else {
                 continue;
             };
             assert!(
@@ -322,7 +309,8 @@ mod tests {
     #[test]
     fn every_applicable_case_is_foiled_by_split_memory() {
         for case in all_cases() {
-            let Some(outcome) = run_case(case, &Protection::SplitMem(ResponseMode::Break)) else {
+            let split = RunSpec::new(Protection::SplitMem(ResponseMode::Break));
+            let Some(outcome) = run_case(case, &split) else {
                 continue;
             };
             assert_eq!(

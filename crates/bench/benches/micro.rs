@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sm_core::engine::{SplitMemConfig, SplitMemEngine};
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_core::sha256::{sha256, sha256_scalar};
 use sm_kernel::engine::NullEngine;
 use sm_kernel::events::ResponseMode;
@@ -211,7 +211,8 @@ fn bench_attack(c: &mut Criterion) {
             technique: sm_attacks::wilander::Technique::ReturnAddress,
             location: sm_attacks::wilander::InjectLocation::Stack,
         };
-        b.iter(|| sm_attacks::wilander::run_case(case, &Protection::SplitMem(ResponseMode::Break)));
+        let split = RunSpec::new(Protection::SplitMem(ResponseMode::Break));
+        b.iter(|| sm_attacks::wilander::run_case(case, &split));
     });
     g.finish();
 }

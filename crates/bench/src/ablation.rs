@@ -9,8 +9,8 @@
 //!   names as "the greatest cause of overhead".
 
 use sm_core::engine::{ItlbLoadMethod, SplitMemConfig, SplitMemEngine};
-use sm_core::setup::Protection;
-use sm_kernel::kernel::{Kernel, KernelConfig};
+use sm_core::setup::{Protection, RunSpec};
+use sm_kernel::kernel::Kernel;
 use sm_machine::costs::CycleCosts;
 use sm_machine::MachineConfig;
 use sm_workloads::normalized;
@@ -27,6 +27,7 @@ pub struct ItlbAblation {
 }
 
 fn run_with_costs(
+    spec: &RunSpec,
     costs: CycleCosts,
     itlb: ItlbLoadMethod,
     iterations: u32,
@@ -44,7 +45,7 @@ fn run_with_costs(
     } else {
         Box::new(sm_kernel::engine::NullEngine)
     };
-    let kernel = Kernel::new(mconfig, KernelConfig::default(), engine);
+    let kernel = Kernel::new(mconfig, spec.kconfig, engine);
     let label = if split {
         Protection::SplitMem(sm_kernel::events::ResponseMode::Break)
     } else {
@@ -54,12 +55,13 @@ fn run_with_costs(
 }
 
 /// §4.2.4: compare the two instruction-TLB loaders on the context-switch
-/// stress test (where I-TLB reloads are most frequent).
-pub fn itlb_loader(iterations: u32) -> ItlbAblation {
+/// stress test (where I-TLB reloads are most frequent). Kernels take
+/// `spec`'s kernel configuration; the machines are the ablation's own.
+pub fn itlb_loader(spec: &RunSpec, iterations: u32) -> ItlbAblation {
     let costs = CycleCosts::default();
-    let base = run_with_costs(costs, ItlbLoadMethod::SingleStep, iterations, false);
-    let ss = run_with_costs(costs, ItlbLoadMethod::SingleStep, iterations, true);
-    let ret = run_with_costs(costs, ItlbLoadMethod::PlantedRet, iterations, true);
+    let base = run_with_costs(spec, costs, ItlbLoadMethod::SingleStep, iterations, false);
+    let ss = run_with_costs(spec, costs, ItlbLoadMethod::SingleStep, iterations, true);
+    let ret = run_with_costs(spec, costs, ItlbLoadMethod::PlantedRet, iterations, true);
     ItlbAblation {
         single_step: normalized(&ss, &base),
         planted_ret: normalized(&ret, &base),
@@ -81,12 +83,12 @@ pub struct SoftTlbAblation {
 /// overhead imposed on such a system would be noticeably lower." Both
 /// machines run the same guest; the soft-TLB machine uses a lightweight
 /// dedicated miss-trap vector (a fraction of the x86 exception cost, as on
-/// real soft-TLB RISC parts).
-pub fn softtlb_port(iterations: u32) -> SoftTlbAblation {
+/// real soft-TLB RISC parts). Kernels take `spec`'s kernel configuration.
+pub fn softtlb_port(spec: &RunSpec, iterations: u32) -> SoftTlbAblation {
     // x86-style pair.
     let costs = CycleCosts::default();
-    let x86_base = run_with_costs(costs, ItlbLoadMethod::SingleStep, iterations, false);
-    let x86_split = run_with_costs(costs, ItlbLoadMethod::SingleStep, iterations, true);
+    let x86_base = run_with_costs(spec, costs, ItlbLoadMethod::SingleStep, iterations, false);
+    let x86_split = run_with_costs(spec, costs, ItlbLoadMethod::SingleStep, iterations, true);
     // SPARC-style pair: software-loaded TLBs and a cheap miss trap.
     let soft_costs = CycleCosts {
         exception: 50,
@@ -104,7 +106,7 @@ pub fn softtlb_port(iterations: u32) -> SoftTlbAblation {
         } else {
             Box::new(sm_kernel::engine::NullEngine)
         };
-        let kernel = Kernel::new(mconfig, KernelConfig::default(), engine);
+        let kernel = Kernel::new(mconfig, spec.kconfig, engine);
         let label = if split {
             Protection::SplitMem(sm_kernel::events::ResponseMode::Break)
         } else {
@@ -130,16 +132,17 @@ pub struct SensitivityPoint {
 }
 
 /// §4.6: scale the trap-delivery cost and watch the worst case respond
-/// ("two interrupts are required" per I-TLB reload).
-pub fn trap_cost_sensitivity(iterations: u32) -> Vec<SensitivityPoint> {
+/// ("two interrupts are required" per I-TLB reload). Kernels take
+/// `spec`'s kernel configuration.
+pub fn trap_cost_sensitivity(spec: &RunSpec, iterations: u32) -> Vec<SensitivityPoint> {
     [0.5, 1.0, 2.0, 4.0]
         .iter()
         .map(|&factor| {
             let mut costs = CycleCosts::default();
             costs.exception = (costs.exception as f64 * factor) as u64;
             costs.pf_handler = (costs.pf_handler as f64 * factor) as u64;
-            let base = run_with_costs(costs, ItlbLoadMethod::SingleStep, iterations, false);
-            let prot = run_with_costs(costs, ItlbLoadMethod::SingleStep, iterations, true);
+            let base = run_with_costs(spec, costs, ItlbLoadMethod::SingleStep, iterations, false);
+            let prot = run_with_costs(spec, costs, ItlbLoadMethod::SingleStep, iterations, true);
             SensitivityPoint {
                 factor,
                 normalized: normalized(&prot, &base),

@@ -8,38 +8,39 @@
 //! to `BENCH_summary.json` (override the path with `BENCH_SUMMARY_PATH`)
 //! so CI can archive per-commit performance data.
 use sm_bench::summary::BenchSummary;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
 use std::time::Instant;
 
 fn main() {
-    if std::env::args().any(|a| a == "--no-pipeline") {
-        // A/B switch for the section walls: every kernel the sweep builds
-        // falls back to per-step dispatch. Simulation outputs must be
-        // byte-identical either way; only the wall times move.
-        sm_kernel::kernel::set_default_pipeline(false);
-    }
+    let mut base = RunSpec::new(Protection::Unprotected);
+    // A/B switch for the section walls: every kernel the sections build
+    // falls back to per-step dispatch. Simulation outputs must be
+    // byte-identical either way; only the wall times move.
+    base.kconfig.pipeline = !std::env::args().any(|a| a == "--no-pipeline");
+    let base = &base;
+    let split = base.with(Protection::SplitMem(ResponseMode::Break));
     let mut summary = BenchSummary::default();
     let t_total = Instant::now();
 
     summary.section("table1", || {
         println!("==== Table 1 ====================================================\n");
-        let t1 = sm_bench::table1::run();
+        let t1 = sm_bench::table1::run(base);
         println!("{}", sm_bench::table1::render(&t1));
         println!("matches paper: {}\n", t1.matches_paper());
     });
 
     summary.section("table2", || {
         println!("==== Table 2 ====================================================\n");
-        let t2 = sm_bench::table2::run();
+        let t2 = sm_bench::table2::run(base);
         println!("{}", sm_bench::table2::render(&t2));
         println!("matches paper: {}\n", t2.matches_paper());
     });
 
     let matrix_rows = summary.section("attack-matrix", || {
         println!("==== Engine x attack matrix (§7 scope boundary) =================\n");
-        let m = sm_bench::matrix::run();
+        let m = sm_bench::matrix::run(base);
         println!("{}", sm_bench::matrix::render(&m));
         let violations = m.violations();
         if violations.is_empty() {
@@ -65,59 +66,55 @@ fn main() {
 
     summary.section("fig5", || {
         println!("==== Fig. 5 =====================================================\n");
-        let f5 = sm_bench::fig5::run();
+        let f5 = sm_bench::fig5::run(base);
         println!("{}", sm_bench::fig5::render(&f5));
     });
 
     summary.section("fig6", || {
         println!("==== Fig. 6 =====================================================\n");
-        let f6 = sm_bench::fig6::run(sm_bench::fig6::Fig6Params::default());
+        let f6 = sm_bench::fig6::run(base, sm_bench::fig6::Fig6Params::default());
         println!("{}", sm_bench::fig6::render(&f6));
     });
 
     summary.section("fig7", || {
         println!("==== Fig. 7 =====================================================\n");
-        let f7 = sm_bench::fig7::run(60);
+        let f7 = sm_bench::fig7::run(base, 60);
         println!("{}", sm_bench::fig7::render(&f7));
     });
 
     summary.section("fig8", || {
         println!("==== Fig. 8 =====================================================\n");
-        let f8 = sm_bench::fig8::run(30);
+        let f8 = sm_bench::fig8::run(base, 30);
         println!("{}", sm_bench::fig8::render(&f8));
     });
 
     summary.section("fig9", || {
         println!("==== Fig. 9 =====================================================\n");
-        let f9 = sm_bench::fig9::run(50, 8);
+        let f9 = sm_bench::fig9::run(base, 50, 8);
         println!("{}", sm_bench::fig9::render(&f9));
     });
 
     summary.section("memory", || {
         println!("==== Memory overhead (§5.1) =====================================\n");
-        let mem = sm_bench::memory::run(4096, 25);
+        let mem = sm_bench::memory::run(base, 4096, 25);
         println!("{}", sm_bench::memory::render(&mem));
     });
 
     summary.section("ablations", || {
         println!("==== Ablations ==================================================\n");
-        let itlb = sm_bench::ablation::itlb_loader(60);
-        let sens = sm_bench::ablation::trap_cost_sensitivity(60);
-        let soft = sm_bench::ablation::softtlb_port(60);
+        let itlb = sm_bench::ablation::itlb_loader(base, 60);
+        let sens = sm_bench::ablation::trap_cost_sensitivity(base, 60);
+        let soft = sm_bench::ablation::softtlb_port(base, 60);
         println!("{}", sm_bench::ablation::render_all(&itlb, &sens, &soft));
     });
 
     let counters = summary.section("interference", || {
         println!("==== Cross-process interference (fork + COW) ====================\n");
-        let split = Protection::SplitMem(ResponseMode::Break);
         let seeds = [1u64];
         for (mode, asid) in [("flush-on-switch", false), ("asid-tagged", true)] {
-            let swept = sm_bench::interference::sweep_interference_on(
-                &seeds,
-                &split,
-                TlbPreset::default(),
-                asid,
-            );
+            let mut spec = split.clone();
+            spec.kconfig.asid_tlbs = asid;
+            let swept = sm_bench::interference::sweep_interference(&seeds, &spec);
             let detected = swept.iter().filter(|c| c.run.detections > 0).count();
             let stable = swept.iter().all(|c| c.verdict_stable);
             println!(
@@ -125,7 +122,7 @@ fn main() {
                 swept.len()
             );
         }
-        let c = sm_bench::interference::probe(&split, false);
+        let c = sm_bench::interference::probe(&split);
         println!(
             "fault-free run: {} context switches, {} COW breaks, {} detections",
             c.context_switches, c.cow_breaks, c.detections
@@ -141,16 +138,19 @@ fn main() {
     });
     summary.interference = Some(counters);
 
-    let p3 = TlbPreset::pentium3();
+    let p3 = &RunSpec {
+        tlb: TlbPreset::pentium3(),
+        ..base.clone()
+    };
     summary.section("fig6-pentium3", || {
         println!("==== Fig. 6 (pentium3 geometry) =================================\n");
-        let f6 = sm_bench::fig6::run(sm_bench::fig6::Fig6Params::default().on(p3));
+        let f6 = sm_bench::fig6::run(p3, sm_bench::fig6::Fig6Params::default());
         println!("{}", sm_bench::fig6::render(&f6));
     });
 
     summary.section("fig7-pentium3", || {
         println!("==== Fig. 7 (pentium3 geometry) =================================\n");
-        let f7 = sm_bench::fig7::run_on(p3, 60);
+        let f7 = sm_bench::fig7::run(p3, 60);
         println!("{}", sm_bench::fig7::render(&f7));
         let diags = sm_bench::fig7::tlb_diagnostics(p3, 60);
         println!("{}", sm_bench::fig7::render_diagnostics(&diags));
@@ -158,13 +158,13 @@ fn main() {
 
     summary.section("fig8-pentium3", || {
         println!("==== Fig. 8 (pentium3 geometry) =================================\n");
-        let f8 = sm_bench::fig8::run_on(p3, 30);
+        let f8 = sm_bench::fig8::run(p3, 30);
         println!("{}", sm_bench::fig8::render(&f8));
     });
 
     summary.section("fig9-pentium3", || {
         println!("==== Fig. 9 (pentium3 geometry) =================================\n");
-        let f9 = sm_bench::fig9::run_on(p3, 50, 8);
+        let f9 = sm_bench::fig9::run(p3, 50, 8);
         println!("{}", sm_bench::fig9::render(&f9));
     });
 
@@ -200,10 +200,8 @@ fn main() {
 
     println!("==== Sharded verification (fig6 workload) =======================\n");
     let sharded = summary.section("fig6-sharded", || {
-        let split = Protection::SplitMem(ResponseMode::Break);
         sm_bench::shards::fig6_sharded_probe(
             &split,
-            TlbPreset::default(),
             sm_bench::shards::FIG6_PROBE_REQUESTS,
             sm_bench::shards::FIG6_PROBE_STRIDE,
             8,
@@ -231,6 +229,7 @@ fn main() {
             tenants: 120,
             shards: 4,
             requests_per_tenant: 4,
+            spec: split.clone(),
             ..sm_bench::fleet::FleetConfig::default()
         };
         let t0 = Instant::now();
@@ -276,7 +275,9 @@ fn main() {
     println!();
 
     println!("==== Snapshot save/restore throughput ===========================\n");
-    let snap = summary.section("probe-snapshot", || sm_bench::summary::snapshot_probe(25));
+    let snap = summary.section("probe-snapshot", || {
+        sm_bench::summary::snapshot_probe(base, 25)
+    });
     println!(
         "snapshot: {} bytes; save {:.1} MB/s, restore {:.1} MB/s ({} iterations, {:.1}/{:.1} ms); \
          sha256 {:.1} MB/s ({})",

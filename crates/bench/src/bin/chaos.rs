@@ -33,7 +33,7 @@
 use sm_attacks::wilander::{self, InjectLocation, Technique};
 use sm_bench::chaos::{self, Scenario};
 use sm_bench::interference;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::RunExit;
 use sm_machine::trace::mask;
@@ -45,8 +45,7 @@ struct FailedCombo {
     scenario: String,
     plan: &'static str,
     seed: u64,
-    protection: Protection,
-    tlb: TlbPreset,
+    spec: RunSpec,
 }
 
 /// The reduced pre-matrix scenario set: one wilander column per technique
@@ -130,9 +129,10 @@ fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, S
 /// a clean trace ordering, full attacker detection and zero executed
 /// payloads; failures dump the full fleet report as an artifact and exit
 /// non-zero.
-fn fleet_scenarios() -> i32 {
+fn fleet_scenarios(base: &RunSpec) -> i32 {
     use sm_bench::fleet::{self, FleetConfig, Mix};
     let mut failures = 0usize;
+    let split = base.with(Protection::SplitMem(ResponseMode::Break));
 
     let base = FleetConfig {
         tenants: 40,
@@ -140,6 +140,7 @@ fn fleet_scenarios() -> i32 {
         requests_per_tenant: 4,
         trace: true,
         check_invariants: true,
+        spec: split.clone(),
         ..FleetConfig::default()
     };
 
@@ -219,6 +220,7 @@ fn fleet_scenarios() -> i32 {
         requests_per_tenant: 8,
         trace: true,
         check_invariants: true,
+        spec: split,
         ..FleetConfig::default()
     };
     let probe = fleet::shard_kill_probe(&kill_cfg, 2);
@@ -253,12 +255,11 @@ fn fleet_scenarios() -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--no-pipeline") {
-        // A/B switch: every kernel this process constructs steps
-        // per-instruction instead of through the superblock pipeline.
-        // All outputs must be byte-identical either way (CI sweeps both).
-        sm_kernel::kernel::set_default_pipeline(false);
-    }
+    let mut base = RunSpec::new(Protection::Unprotected);
+    // A/B switch: every kernel this process constructs or restores steps
+    // per-instruction instead of through the superblock pipeline. All
+    // outputs must be byte-identical either way (CI diffs both).
+    base.kconfig.pipeline = !args.iter().any(|a| a == "--no-pipeline");
     if let Some(i) = args.iter().position(|a| a == "--replay") {
         let path = match flag_value(&args, i, "--replay") {
             Ok(p) => p,
@@ -275,8 +276,8 @@ fn main() {
             None => None,
         };
         std::process::exit(match stop_seq {
-            Some(s) => replay_to_seq(path, s),
-            None => replay(path),
+            Some(s) => replay_to_seq(path, s, &base),
+            None => replay(path, &base),
         });
     }
     if std::env::args().any(|a| a == "--stop-seq") {
@@ -287,10 +288,10 @@ fn main() {
             Ok(p) => p,
             Err(e) => std::process::exit(usage_error(&format!("{e} (an output path)"))),
         };
-        std::process::exit(dump_demo(path));
+        std::process::exit(dump_demo(path, &base));
     }
     if args.iter().any(|a| a == "--fleet") {
-        std::process::exit(fleet_scenarios());
+        std::process::exit(fleet_scenarios(&base));
     }
     if let Some(i) = args.iter().position(|a| a == "--shards") {
         let n = match flag_value(&args, i, "--shards").map(str::parse::<usize>) {
@@ -301,7 +302,7 @@ fn main() {
             }
             Err(e) => std::process::exit(usage_error(&format!("{e} (a segment count)"))),
         };
-        std::process::exit(sharded_sweep(n));
+        std::process::exit(sharded_sweep(n, &base));
     }
     let quick = std::env::args().any(|a| a == "--quick");
     let trace = std::env::args().any(|a| a == "--trace");
@@ -312,10 +313,10 @@ fn main() {
     };
 
     let seeds = [1u64, 2, 3];
-    let split = Protection::SplitMem(ResponseMode::Break);
-    let combined = Protection::Combined(ResponseMode::Break);
-    let shadow_alone = Protection::ShadowStack(ResponseMode::Break);
-    let shadow_stacked = Protection::ShadowCombined(ResponseMode::Break);
+    let split = base.with(Protection::SplitMem(ResponseMode::Break));
+    let combined = base.with(Protection::Combined(ResponseMode::Break));
+    let shadow_alone = base.with(Protection::ShadowStack(ResponseMode::Break));
+    let shadow_stacked = base.with(Protection::ShadowCombined(ResponseMode::Break));
 
     println!(
         "chaos sweep ({}): {} scenarios x {} seeds",
@@ -353,8 +354,7 @@ fn main() {
                 scenario: r.scenario.clone(),
                 plan: r.plan,
                 seed: r.seed,
-                protection: split.clone(),
-                tlb: TlbPreset::default(),
+                spec: split.clone(),
             });
         }
     }
@@ -366,7 +366,7 @@ fn main() {
     // --quick and the full matrix alike. (Standalone runs a reduced seed
     // set: the engine sees the same control-flow stream per plan, the
     // extra seeds only move fault timing.)
-    for (label, protection, sweep_seeds) in [
+    for (label, spec, sweep_seeds) in [
         (
             "shadow-stack engine alone",
             shadow_alone.clone(),
@@ -375,7 +375,7 @@ fn main() {
         ("shadow+nx+split stack", shadow_stacked.clone(), &seeds[..]),
     ] {
         println!("\n{label}:");
-        let swept = chaos::sweep(sweep_seeds, &scenarios, &protection);
+        let swept = chaos::sweep(sweep_seeds, &scenarios, &spec);
         for r in &swept {
             combos += 1;
             let mut bad = Vec::new();
@@ -396,8 +396,7 @@ fn main() {
                     scenario: r.scenario.clone(),
                     plan: r.plan,
                     seed: r.seed,
-                    protection: protection.clone(),
-                    tlb: TlbPreset::default(),
+                    spec: spec.clone(),
                 });
             }
         }
@@ -410,11 +409,11 @@ fn main() {
     // convergence, clean invariants and no livelock — not verdict
     // equality. It runs under every engine that splits mixed pages, the
     // stacks included, so the checker must find the split layer in each.
-    for (i, protection) in [&split, &combined, &shadow_stacked].into_iter().enumerate() {
+    for (i, spec) in [&split, &combined, &shadow_stacked].into_iter().enumerate() {
         if i > 0 {
-            println!("\nmixed-patch under {}:", protection.label());
+            println!("\nmixed-patch under {}:", spec.protection.label());
         }
-        let mixed = chaos::sweep(&seeds, &[Scenario::MixedPatch], protection);
+        let mixed = chaos::sweep(&seeds, &[Scenario::MixedPatch], spec);
         for r in &mixed {
             combos += 1;
             let mut bad = Vec::new();
@@ -429,14 +428,13 @@ fn main() {
                     scenario: r.scenario.clone(),
                     plan: r.plan,
                     seed: r.seed,
-                    protection: protection.clone(),
-                    tlb: TlbPreset::default(),
+                    spec: spec.clone(),
                 });
             }
         }
     }
 
-    println!("\nOOM plans under {}:", combined.label());
+    println!("\nOOM plans under {}:", combined.protection.label());
     let oom = chaos::sweep_oom(&seeds, &scenarios, &combined);
     for r in &oom {
         combos += 1;
@@ -452,8 +450,7 @@ fn main() {
                 scenario: r.scenario.clone(),
                 plan: r.plan,
                 seed: r.seed,
-                protection: combined.clone(),
-                tlb: TlbPreset::default(),
+                spec: combined.clone(),
             });
         }
     }
@@ -463,9 +460,13 @@ fn main() {
     // reduced seed set keeps the sweep inside its runtime budget — the
     // geometry changes which entries evictions hit, not the fault stream.
     println!("\npentium3 geometry (32-entry 4-way I-TLB, 64-entry 4-way D-TLB):");
-    let p3 = TlbPreset::pentium3();
+    let on_p3 = |spec: &RunSpec| RunSpec {
+        tlb: TlbPreset::pentium3(),
+        ..spec.clone()
+    };
+    let (split_p3, combined_p3) = (on_p3(&split), on_p3(&combined));
     let p3_seeds = [1u64];
-    let perturbed = chaos::sweep_on(&p3_seeds, &scenarios, &split, p3);
+    let perturbed = chaos::sweep(&p3_seeds, &scenarios, &split_p3);
     for r in &perturbed {
         combos += 1;
         let mut bad = Vec::new();
@@ -486,12 +487,11 @@ fn main() {
                 scenario: r.scenario.clone(),
                 plan: r.plan,
                 seed: r.seed,
-                protection: split.clone(),
-                tlb: p3,
+                spec: split_p3.clone(),
             });
         }
     }
-    let oom = chaos::sweep_oom_on(&p3_seeds, &scenarios, &combined, p3);
+    let oom = chaos::sweep_oom(&p3_seeds, &scenarios, &combined_p3);
     for r in &oom {
         combos += 1;
         let mut bad = Vec::new();
@@ -506,8 +506,7 @@ fn main() {
                 scenario: r.scenario.clone(),
                 plan: r.plan,
                 seed: r.seed,
-                protection: combined.clone(),
-                tlb: p3,
+                spec: combined_p3.clone(),
             });
         }
     }
@@ -519,13 +518,14 @@ fn main() {
     // time under split memory — in both the flush-on-switch and the
     // ASID-tagged TLB models — while the victim's COW view stays pristine.
     println!("\ncross-process interference (fork + COW-shared pages):");
-    let unprotected = Protection::Unprotected;
+    let unprotected = base.with(Protection::Unprotected);
     for (mode, asid) in [("flush", false), ("asid", true)] {
-        for (pname, protection, expect_success) in
+        for (pname, spec, expect_success) in
             [("unprot", &unprotected, true), ("split", &split, false)]
         {
-            let swept =
-                interference::sweep_interference_on(&seeds, protection, TlbPreset::default(), asid);
+            let mut spec = spec.clone();
+            spec.kconfig.asid_tlbs = asid;
+            let swept = interference::sweep_interference(&seeds, &spec);
             for r in &swept {
                 combos += 1;
                 let mut bad = Vec::new();
@@ -593,9 +593,16 @@ fn main() {
     }
 }
 
+/// `spec` with `plan` armed and every trace layer recording.
+fn traced(spec: &RunSpec, plan: sm_machine::chaos::FaultPlan) -> RunSpec {
+    let mut spec = chaos::with_plan(spec, plan);
+    spec.kconfig.trace = mask::ALL;
+    spec
+}
+
 /// Trace one canonical combo (first Wilander cell, split memory, inert
 /// plan) and write its event stream for CI schema validation.
-fn write_trace_sample(scenarios: &[Scenario], split: &Protection) {
+fn write_trace_sample(scenarios: &[Scenario], split: &RunSpec) {
     let scenario = scenarios
         .iter()
         .copied()
@@ -604,8 +611,7 @@ fn write_trace_sample(scenarios: &[Scenario], split: &Protection) {
     let Some(plan) = chaos::plan_by_name("inert", 1) else {
         fatal("internal plan table is missing 'inert'");
     };
-    let (_, jsonl) =
-        chaos::run_scenario_traced_on(scenario, split, TlbPreset::default(), plan, mask::ALL);
+    let (_, jsonl) = chaos::run_scenario(scenario, &traced(split, plan));
     write_artifact("chaos_trace_sample.jsonl", jsonl.as_bytes());
     println!(
         "\ntrace sample: {} events ({}) -> chaos_trace_sample.jsonl",
@@ -629,8 +635,8 @@ fn dump_failed_traces(by_name: &HashMap<String, Scenario>, failed: &[FailedCombo
             println!("  (no traced re-run for unknown plan {})", fc.plan);
             continue;
         };
-        let (run, jsonl) =
-            chaos::run_scenario_traced_on(scenario, &fc.protection, fc.tlb, plan, mask::ALL);
+        let spec = traced(&fc.spec, plan);
+        let (run, jsonl) = chaos::run_scenario(scenario, &spec);
         println!(
             "  traced re-run {} {} seed={} -> {} ({} events)",
             fc.scenario,
@@ -646,11 +652,8 @@ fn dump_failed_traces(by_name: &HashMap<String, Scenario>, failed: &[FailedCombo
         // guests leave a restorable snapshot behind.
         match chaos::checkpointed_dump(
             scenario,
-            &fc.protection,
-            fc.tlb,
+            &spec,
             fc.plan,
-            plan,
-            mask::ALL,
             chaos::Cadence {
                 every: 5,
                 stride: 1_000,
@@ -675,14 +678,13 @@ fn dump_failed_traces(by_name: &HashMap<String, Scenario>, failed: &[FailedCombo
 /// stand-alone split memory, a perturbation plan that also faults every
 /// other checkpoint. Deterministic, so the dump it writes is stable for a
 /// given build — CI restores a checked-in copy and replays it.
-fn dump_demo(path: &str) -> i32 {
+fn dump_demo(path: &str, base: &RunSpec) -> i32 {
     let Some(scenario) = full_scenarios()
         .into_iter()
         .find(|s| matches!(s, Scenario::Wilander(_)))
     else {
         fatal("no applicable wilander cell to build the demo dump from");
     };
-    let split = Protection::SplitMem(ResponseMode::Break);
     let plan = sm_machine::chaos::FaultPlan {
         flush_every: Some(101),
         evict_every: Some(17),
@@ -690,13 +692,11 @@ fn dump_demo(path: &str) -> i32 {
         seed: 1,
         ..sm_machine::chaos::FaultPlan::default()
     };
+    let split = base.with(Protection::SplitMem(ResponseMode::Break));
     match chaos::checkpointed_dump(
         scenario,
-        &split,
-        TlbPreset::default(),
+        &traced(&split, plan),
         "demo-flush-evict-snapfault",
-        plan,
-        mask::ALL,
         chaos::Cadence {
             every: 2,
             stride: 500,
@@ -725,7 +725,7 @@ fn dump_demo(path: &str) -> i32 {
 
 /// `--replay <path>`: restore a dump, finish its run, verify verdict and
 /// trace splice.
-fn replay(path: &str) -> i32 {
+fn replay(path: &str, base: &RunSpec) -> i32 {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -733,7 +733,7 @@ fn replay(path: &str) -> i32 {
             return 1;
         }
     };
-    match chaos::replay_dump(&bytes) {
+    match chaos::replay_dump(&bytes, base) {
         Ok(r) => {
             println!(
                 "replay {path}: {} {} (seed={}, checkpoint @ slice {})",
@@ -775,7 +775,7 @@ fn replay(path: &str) -> i32 {
 
 /// `--replay <path> --stop-seq <seq>`: time travel — restore a dump and
 /// run it forward only until the tracer reaches the given seq.
-fn replay_to_seq(path: &str, stop_seq: u64) -> i32 {
+fn replay_to_seq(path: &str, stop_seq: u64, base: &RunSpec) -> i32 {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -783,7 +783,7 @@ fn replay_to_seq(path: &str, stop_seq: u64) -> i32 {
             return 1;
         }
     };
-    match chaos::replay_dump_to_seq(&bytes, stop_seq) {
+    match chaos::replay_dump_to_seq(&bytes, stop_seq, base) {
         Ok(r) => {
             println!(
                 "time travel {path}: {} {} (checkpoint seq {}, stop seq {stop_seq})",
@@ -819,12 +819,13 @@ fn replay_to_seq(path: &str, stop_seq: u64) -> i32 {
 /// `RAYON_NUM_THREADS` matrix. Every quick scenario runs serial-checked
 /// and sharded-checked; any divergence dumps per-segment trace tails as
 /// `shard_seg_<i>.trace.jsonl` and exits non-zero.
-fn sharded_sweep(shards_n: usize) -> i32 {
+fn sharded_sweep(shards_n: usize, base: &RunSpec) -> i32 {
     use sm_bench::shards::{self, ShardSpec};
-    let split = Protection::SplitMem(ResponseMode::Break);
     let Some(plan) = chaos::plan_by_name("kitchen-sink", 1) else {
         fatal("internal plan table is missing 'kitchen-sink'");
     };
+    let mut spec = traced(&base.with(Protection::SplitMem(ResponseMode::Break)), plan);
+    spec.kconfig.trace_capacity = 512;
     let mut scenarios = quick_scenarios();
     scenarios.push(Scenario::MixedPatch);
     println!(
@@ -834,13 +835,12 @@ fn sharded_sweep(shards_n: usize) -> i32 {
     );
     let mut failures = 0usize;
     for scenario in scenarios {
-        let mut spec =
-            ShardSpec::chaos(scenario, &split, TlbPreset::default(), plan, mask::ALL, 512);
+        let mut shard_spec = ShardSpec::chaos(scenario, &spec);
         // A finer stride than the sweep default so even short guests span
         // several segments — the boundaries are what this sweep tests.
-        spec.stride = 2_000;
-        let serial = shards::run_serial(&spec);
-        let sharded = shards::run_sharded(&spec, shards_n);
+        shard_spec.stride = 2_000;
+        let serial = shards::run_serial(&shard_spec);
+        let sharded = shards::run_sharded(&shard_spec, shards_n);
         let notes = shards::compare_runs(&serial, &sharded);
         if notes.is_empty() {
             println!(

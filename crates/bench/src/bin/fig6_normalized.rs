@@ -10,17 +10,15 @@
 //! dispatch instead); the rendered bars must be byte-identical either
 //! way — only the wall time may differ.
 
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
-use sm_machine::TlbPreset;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--no-pipeline") {
-        // A/B switch: run the workloads per-`step()` instead of through
-        // the superblock pipeline (the bars must not change either way).
-        sm_kernel::kernel::set_default_pipeline(false);
-    }
+    let mut base = RunSpec::new(Protection::Unprotected);
+    // A/B switch: run the workloads per-`step()` instead of through the
+    // superblock pipeline (the bars must not change either way).
+    base.kconfig.pipeline = !args.iter().any(|a| a == "--no-pipeline");
     if let Some(i) = args.iter().position(|a| a == "--shards") {
         let n = match args.get(i + 1).map(|v| v.parse::<usize>()) {
             Some(Ok(n)) if n >= 1 => n,
@@ -29,18 +27,16 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        std::process::exit(sharded_probe(n));
+        std::process::exit(sharded_probe(&base, n));
     }
     println!("Fig. 6 — normalized performance, stand-alone split memory\n");
-    let bars = sm_bench::fig6::run(sm_bench::fig6::Fig6Params::default());
+    let bars = sm_bench::fig6::run(&base, sm_bench::fig6::Fig6Params::default());
     println!("{}", sm_bench::fig6::render(&bars));
 }
 
-fn sharded_probe(shards: usize) -> i32 {
-    let split = Protection::SplitMem(ResponseMode::Break);
+fn sharded_probe(base: &RunSpec, shards: usize) -> i32 {
     let p = sm_bench::shards::fig6_sharded_probe(
-        &split,
-        TlbPreset::default(),
+        &base.with(Protection::SplitMem(ResponseMode::Break)),
         sm_bench::shards::FIG6_PROBE_REQUESTS,
         sm_bench::shards::FIG6_PROBE_STRIDE,
         shards,

@@ -73,9 +73,9 @@ fn main() {
         slo_cycles: parse_or_die(&args, "--slo", 400_000),
         trace: has("--trace"),
         check_invariants: has("--check-invariants"),
-        asid_tlbs: has("--asid"),
         ..FleetConfig::default()
     };
+    cfg.spec.kconfig.asid_tlbs = has("--asid");
     if has("--quick") {
         cfg.tenants = 60;
         cfg.shards = 3;
@@ -94,7 +94,7 @@ fn main() {
         });
     }
     if let Some(p) = flag_value(&args, "--protection") {
-        cfg.protection = match p {
+        cfg.spec.protection = match p {
             "unprotected" => Protection::Unprotected,
             "split" => Protection::SplitMem(ResponseMode::Break),
             "observe" => Protection::SplitMem(ResponseMode::Observe),
@@ -107,7 +107,7 @@ fn main() {
         };
     }
     if has("--pentium3") {
-        cfg.tlb = TlbPreset::pentium3();
+        cfg.spec.tlb = TlbPreset::pentium3();
     }
 
     let result = if has("--serial") {
@@ -137,12 +137,12 @@ fn main() {
         eprintln!("TRACE-ORDER: {v}");
         failed = true;
     }
-    let protecting = !matches!(cfg.protection, Protection::Unprotected);
+    let protecting = !matches!(cfg.spec.protection, Protection::Unprotected);
     let injected: u32 = result.tenants.iter().map(|t| t.injected).sum();
     if protecting && injected > 0 {
         eprintln!(
             "ATTACK SUCCEEDED: {injected} payload(s) executed under {}",
-            cfg.protection.label()
+            cfg.spec.protection.label()
         );
         failed = true;
     }

@@ -4,27 +4,23 @@
 //! before/after host-side optimisations. Simulation outputs are printed
 //! so optimisations can be checked byte-identical.
 
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
-use sm_workloads::nbench::{run_nbench_on, NbenchKernel};
-use sm_workloads::unixbench::{run_unixbench_on, UnixbenchTest};
+use sm_workloads::nbench::{run_nbench, NbenchKernel};
+use sm_workloads::unixbench::{run_unixbench, UnixbenchTest};
 use sm_workloads::{gzip, httpd};
 use std::time::Instant;
 
 fn main() {
-    if std::env::args().any(|a| a == "--no-pipeline") {
-        // A/B switch: attribute the superblock pipeline's win per sub-run
-        // (the simulation outputs must not change either way).
-        sm_kernel::kernel::set_default_pipeline(false);
+    let mut base = RunSpec::new(Protection::Unprotected);
+    // A/B switch: attribute the superblock pipeline's win per sub-run (the
+    // simulation outputs must not change either way).
+    base.kconfig.pipeline = !std::env::args().any(|a| a == "--no-pipeline");
+    if std::env::args().any(|a| a == "--pentium3") {
+        base.tlb = TlbPreset::pentium3();
     }
-    let base = Protection::Unprotected;
-    let prot = Protection::SplitMem(ResponseMode::Break);
-    let tlb = if std::env::args().any(|a| a == "--pentium3") {
-        TlbPreset::pentium3()
-    } else {
-        TlbPreset::default()
-    };
+    let prot = base.with(Protection::SplitMem(ResponseMode::Break));
     let p = sm_bench::fig6::Fig6Params::default();
 
     let mut total = 0f64;
@@ -36,13 +32,13 @@ fn main() {
         println!("{name:<28} {ms:>9.1} ms  {insns:>12} insns  {cycles:>13} cycles");
     };
 
-    for (label, protection) in [("base", &base), ("prot", &prot)] {
+    for (label, spec) in [("base", &base), ("prot", &prot)] {
         row(format!("httpd-32k {label}"), &mut || {
-            let r = httpd::run_httpd_on(protection, tlb, 32 * 1024, p.requests);
+            let r = httpd::run_httpd(spec, 32 * 1024, p.requests);
             (r.cycles, r.machine.instructions)
         });
         row(format!("gzip {label}"), &mut || {
-            let r = gzip::run_gzip_on(protection, tlb, p.gzip_kb);
+            let r = gzip::run_gzip(spec, p.gzip_kb);
             (r.cycles, r.machine.instructions)
         });
         for nk in NbenchKernel::ALL {
@@ -51,14 +47,14 @@ fn main() {
                 _ => p.nbench_iters,
             };
             row(format!("nbench-{} {label}", nk.name()), &mut || {
-                let r = run_nbench_on(protection, tlb, nk, iters);
+                let r = run_nbench(spec, nk, iters);
                 (r.cycles, r.machine.instructions)
             });
         }
         for t in UnixbenchTest::ALL {
             let iters = sm_bench::fig6::ub_iterations_for(t, p.ub_iters);
             row(format!("ub-{} {label}", t.name()), &mut || {
-                let r = run_unixbench_on(protection, tlb, t, iters);
+                let r = run_unixbench(spec, t, iters);
                 (r.cycles, r.machine.instructions)
             });
         }

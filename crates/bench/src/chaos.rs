@@ -20,13 +20,13 @@
 //!   every execution slice of every run.
 
 use rayon::prelude::*;
-use sm_attacks::harness::{classify_marker, kernel_with_on, AttackOutcome};
+use sm_attacks::harness::{classify_marker, kernel_with, AttackOutcome};
 use sm_attacks::wilander::{self, Case, MARKER};
 use sm_core::invariants::{self, Violation};
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::image::ExecImage;
-use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
+use sm_kernel::kernel::{Kernel, RunExit};
 use sm_kernel::process::Pid;
 use sm_kernel::snapshot as ksnap;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
@@ -234,22 +234,25 @@ pub struct ChaosRun {
     pub violations: Vec<Violation>,
 }
 
-/// Run one scenario under one plan, checking invariants between slices.
-pub fn run_scenario(scenario: Scenario, protection: &Protection, plan: FaultPlan) -> ChaosRun {
-    run_scenario_on(scenario, protection, TlbPreset::default(), plan)
+/// `base` with `plan` armed: every chaos runner reads its fault plan from
+/// `kconfig.chaos`.
+pub fn with_plan(base: &RunSpec, plan: FaultPlan) -> RunSpec {
+    let mut spec = base.clone();
+    spec.kconfig.chaos = plan;
+    spec
 }
 
-/// [`run_scenario`] on an explicit TLB geometry — chaos evictions become
-/// set-aware, so determinism and verdict stability must hold per
-/// `(plan, seed, geometry)`.
-pub fn run_scenario_on(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-) -> ChaosRun {
+/// Run one scenario under `spec` (fault plan in `spec.kconfig.chaos`),
+/// checking invariants between slices. Returns the run plus the trace
+/// ring's contents as JSONL — the last
+/// [`sm_trace::Tracer::DEFAULT_CAPACITY`] events of the layers
+/// `spec.kconfig.trace` arms. The chaos bin's `--trace` mode dumps the
+/// event tail of a failing combo this way, and CI schema-checks a sample.
+/// Chaos evictions are set-aware, so determinism and verdict stability
+/// must hold per `(plan, seed, geometry)`.
+pub fn run_scenario(scenario: Scenario, spec: &RunSpec) -> (ChaosRun, String) {
     let (image, marker) = scenario_image(scenario);
-    run_image_on(&image, marker, protection, tlb, plan)
+    run_image(&image, marker, spec)
 }
 
 /// Build a scenario's guest image. Assembly is a pure function of the
@@ -266,50 +269,18 @@ pub(crate) fn scenario_image(scenario: Scenario) -> (ExecImage, Option<u8>) {
     }
 }
 
-/// Run one prebuilt image under one plan, checking invariants between
+/// The attack-harness boot every chaos run starts from: the shell
+/// installed, the stack at known addresses.
+fn boot(spec: &RunSpec) -> Kernel {
+    let mut spec = spec.clone();
+    spec.kconfig.aslr_stack = false;
+    kernel_with(&spec)
+}
+
+/// Run one prebuilt image under `spec`, checking invariants between
 /// slices.
-fn run_image_on(
-    image: &ExecImage,
-    marker: Option<u8>,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-) -> ChaosRun {
-    run_image_traced_on(image, marker, protection, tlb, plan, 0).0
-}
-
-/// [`run_scenario_on`] with the trace subsystem enabled: re-runs one
-/// `(scenario, plan)` combo with `trace_mask` layers recorded and returns
-/// the run plus the ring buffer's contents as JSONL (the last
-/// [`sm_trace::Tracer::DEFAULT_CAPACITY`] events). Used by the chaos bin's
-/// `--trace` mode to dump the event tail of a failing combo, and by CI to
-/// produce a schema-checkable sample.
-pub fn run_scenario_traced_on(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-    trace_mask: u32,
-) -> (ChaosRun, String) {
-    let (image, marker) = scenario_image(scenario);
-    run_image_traced_on(&image, marker, protection, tlb, plan, trace_mask)
-}
-
-fn run_image_traced_on(
-    image: &ExecImage,
-    marker: Option<u8>,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-    trace_mask: u32,
-) -> (ChaosRun, String) {
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        chaos: plan,
-        trace: trace_mask,
-        ..KernelConfig::default()
-    };
-    let mut k = kernel_with_on(protection, tlb, kconfig);
+fn run_image(image: &ExecImage, marker: Option<u8>, spec: &RunSpec) -> (ChaosRun, String) {
+    let mut k = boot(spec);
     let pid = match k.spawn(image) {
         Ok(pid) => pid,
         Err(sm_kernel::kernel::SpawnError::OutOfMemory) => {
@@ -341,9 +312,9 @@ fn run_image_traced_on(
 }
 
 /// Map a finished kernel to a compact verdict label and an
-/// attacker-got-execution flag. Shared by the plain, traced and
-/// checkpointed runners and by dump replay, so all four agree on what a
-/// verdict string looks like.
+/// attacker-got-execution flag. Shared by the plain and checkpointed
+/// runners and by dump replay, so all three agree on what a verdict
+/// string looks like.
 pub(crate) fn classify_run(k: &Kernel, pid: Pid, marker: Option<u8>) -> (String, bool) {
     match marker {
         Some(m) => {
@@ -392,42 +363,26 @@ pub struct ComboResult {
     pub verdict_stable: bool,
 }
 
-/// Sweep `seeds × perturbation_plans × scenarios` under `protection`,
-/// comparing every verdict to the fault-free baseline, then run the OOM
-/// plans under combined mode (NX backstops degraded pages) demanding
-/// attacks never succeed. Returns every combo result; the caller asserts.
-pub fn sweep(seeds: &[u64], scenarios: &[Scenario], protection: &Protection) -> Vec<ComboResult> {
-    sweep_on(seeds, scenarios, protection, TlbPreset::default())
+/// Sweep `seeds × perturbation_plans × scenarios` under `base`, comparing
+/// every verdict to the fault-free baseline. Returns every combo result;
+/// the caller asserts. Combos fan out across threads (each combo owns its
+/// seeded fault stream and its own kernel, so runs are independent);
+/// results are merged in deterministic scenario-major order,
+/// byte-identical to [`sweep_serial`].
+pub fn sweep(seeds: &[u64], scenarios: &[Scenario], base: &RunSpec) -> Vec<ComboResult> {
+    sweep_plans(seeds, scenarios, base, perturbation_plans, true)
 }
 
-/// [`sweep`] on an explicit TLB geometry. Combos fan out across threads
-/// (each combo owns its seeded fault stream and its own kernel, so runs
-/// are independent); results are merged in deterministic scenario-major
-/// order, byte-identical to [`sweep_serial_on`].
-pub fn sweep_on(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> Vec<ComboResult> {
-    sweep_plans_on(seeds, scenarios, protection, tlb, perturbation_plans, true)
-}
-
-/// Single-threaded [`sweep_on`], kept as the reference the parallel sweep
-/// is tested byte-identical against.
-pub fn sweep_serial_on(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> Vec<ComboResult> {
+/// Single-threaded [`sweep`], kept as the reference the parallel sweep is
+/// tested byte-identical against.
+pub fn sweep_serial(seeds: &[u64], scenarios: &[Scenario], base: &RunSpec) -> Vec<ComboResult> {
     let mut out = Vec::new();
     for &scenario in scenarios {
         let (image, marker) = scenario_image(scenario);
-        let baseline = run_image_on(&image, marker, protection, tlb, FaultPlan::default());
+        let baseline = run_image(&image, marker, &with_plan(base, FaultPlan::default())).0;
         for &seed in seeds {
             for np in perturbation_plans(seed) {
-                let run = run_image_on(&image, marker, protection, tlb, np.plan);
+                let run = run_image(&image, marker, &with_plan(base, np.plan)).0;
                 let stable = run.verdict == baseline.verdict;
                 out.push(ComboResult {
                     scenario: scenario.name(),
@@ -446,11 +401,10 @@ pub fn sweep_serial_on(
 /// Shared sweep machinery: prebuild every scenario image, run the
 /// fault-free baselines in parallel, then fan every `(scenario, seed,
 /// plan)` combo out and zip results back in input (scenario-major) order.
-fn sweep_plans_on(
+fn sweep_plans(
     seeds: &[u64],
     scenarios: &[Scenario],
-    protection: &Protection,
-    tlb: TlbPreset,
+    base: &RunSpec,
     plans: fn(u64) -> Vec<NamedPlan>,
     enforce_stability: bool,
 ) -> Vec<ComboResult> {
@@ -464,7 +418,7 @@ fn sweep_plans_on(
     let baselines: Vec<ChaosRun> = prepped
         .par_iter()
         .map(|(_, image, marker)| {
-            run_image_on(image, *marker, protection, tlb, FaultPlan::default())
+            run_image(image, *marker, &with_plan(base, FaultPlan::default())).0
         })
         .collect();
     let combos: Vec<(usize, u64, NamedPlan)> = (0..prepped.len())
@@ -478,7 +432,7 @@ fn sweep_plans_on(
         .par_iter()
         .map(|&(si, _, np)| {
             let (_, image, marker) = &prepped[si];
-            run_image_on(image, *marker, protection, tlb, np.plan)
+            run_image(image, *marker, &with_plan(base, np.plan)).0
         })
         .collect();
     combos
@@ -498,26 +452,12 @@ fn sweep_plans_on(
         .collect()
 }
 
-/// Sweep the OOM plans. Verdicts may change; attack success and invariant
-/// violations may not. Runs under the given protection (use combined mode
-/// so the execute-disable bit backstops degraded pages).
-pub fn sweep_oom(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-) -> Vec<ComboResult> {
-    sweep_oom_on(seeds, scenarios, protection, TlbPreset::default())
-}
-
-/// [`sweep_oom`] on an explicit TLB geometry (parallel, deterministic
-/// order; `verdict_stable` is not enforced for OOM plans).
-pub fn sweep_oom_on(
-    seeds: &[u64],
-    scenarios: &[Scenario],
-    protection: &Protection,
-    tlb: TlbPreset,
-) -> Vec<ComboResult> {
-    sweep_plans_on(seeds, scenarios, protection, tlb, oom_plans, false)
+/// Sweep the OOM plans under `base` (parallel, deterministic order).
+/// Verdicts may change (`verdict_stable` is not enforced); attack success
+/// and invariant violations may not. Use combined mode so the
+/// execute-disable bit backstops degraded pages.
+pub fn sweep_oom(seeds: &[u64], scenarios: &[Scenario], base: &RunSpec) -> Vec<ComboResult> {
+    sweep_plans(seeds, scenarios, base, oom_plans, false)
 }
 
 // ---- checkpointed runs + failure dumps ------------------------------------
@@ -582,26 +522,18 @@ pub struct Cadence {
     pub stride: u64,
 }
 
-/// Run one scenario under one plan, checkpointing on `cadence` and
+/// Run one scenario under `spec`, checkpointing on `cadence` and
 /// injecting snapshot faults per the plan's `snap_fault_every`.
-pub fn run_scenario_checkpointed_on(
+pub fn run_scenario_checkpointed(
     scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-    trace_mask: u32,
+    spec: &RunSpec,
     cadence: Cadence,
 ) -> Checkpointed {
     let (image, marker) = scenario_image(scenario);
     let every = cadence.every.max(1);
     let stride = cadence.stride.max(1);
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        chaos: plan,
-        trace: trace_mask,
-        ..KernelConfig::default()
-    };
-    let mut k = kernel_with_on(protection, tlb, kconfig);
+    let plan = spec.kconfig.chaos;
+    let mut k = boot(spec);
     let pid = match k.spawn(&image) {
         Ok(pid) => pid,
         Err(sm_kernel::kernel::SpawnError::OutOfMemory) => {
@@ -831,14 +763,11 @@ pub fn write_dump(d: &FailureDump) -> Result<Vec<u8>, String> {
 /// snapshot fault was missed, or the protection cannot be encoded.
 pub fn checkpointed_dump(
     scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
+    spec: &RunSpec,
     plan_name: &'static str,
-    plan: FaultPlan,
-    trace_mask: u32,
     cadence: Cadence,
 ) -> Result<(Checkpointed, Vec<u8>), String> {
-    let cp = run_scenario_checkpointed_on(scenario, protection, tlb, plan, trace_mask, cadence);
+    let cp = run_scenario_checkpointed(scenario, spec, cadence);
     if cp.snap_faults_undetected > 0 {
         return Err(format!(
             "{} corrupted snapshot(s) passed validation",
@@ -852,12 +781,12 @@ pub fn checkpointed_dump(
     let dump = write_dump(&FailureDump {
         scenario: scenario.name(),
         plan_name,
-        protection: protection.clone(),
-        tlb,
-        plan,
+        protection: spec.protection.clone(),
+        tlb: spec.tlb,
+        plan: spec.kconfig.chaos,
         marker: cp.marker,
         pid: cp.pid,
-        trace_mask,
+        trace_mask: spec.kconfig.trace,
         slice: cp.snapshot_slice,
         seq0: cp.snapshot_seq,
         deadline: cp.deadline,
@@ -992,18 +921,26 @@ fn parse_dump(bytes: &[u8]) -> Result<ParsedDump, String> {
     })
 }
 
+/// Restore a dump's snapshot under `base.with(<the dump's protection>)`,
+/// so the replay continues under `base`'s execution strategy.
+fn restore_dump(d: &ParsedDump, base: &RunSpec) -> Result<Kernel, String> {
+    base.with(d.protection.clone())
+        .restore(&d.snapshot)
+        .map_err(|e| format!("embedded snapshot rejected: {e}"))
+}
+
 /// Restore a dump and re-run it from the checkpoint to its original
 /// deadline, verifying the verdict reproduces and the trace tail splices
-/// byte-identically.
+/// byte-identically. The dump supplies the protection; `base` supplies
+/// the execution strategy (`kconfig.pipeline`).
 ///
 /// # Errors
 ///
 /// A human-readable message for every malformed, corrupted or
 /// version-skewed dump — replay never panics on bad input.
-pub fn replay_dump(bytes: &[u8]) -> Result<ReplayReport, String> {
+pub fn replay_dump(bytes: &[u8], base: &RunSpec) -> Result<ReplayReport, String> {
     let d = parse_dump(bytes)?;
-    let mut k = ksnap::restore(&d.snapshot, d.protection.engine())
-        .map_err(|e| format!("embedded snapshot rejected: {e}"))?;
+    let mut k = restore_dump(&d, base)?;
     let remaining = d.deadline.saturating_sub(k.sys.machine.cycles);
     let (exit, violations) = invariants::run_with_checks(&mut k, remaining, d.stride);
     let (verdict, attack_succeeded) = classify_run(&k, Pid(d.pid), d.marker);
@@ -1073,7 +1010,11 @@ pub struct TimeTravelReport {
 /// Malformed dumps (as [`replay_dump`]), and `stop_seq` earlier than the
 /// checkpoint's own seq — events before the checkpoint were only retained
 /// in the final ring, so rewinding before `seq0` needs an earlier dump.
-pub fn replay_dump_to_seq(bytes: &[u8], stop_seq: u64) -> Result<TimeTravelReport, String> {
+pub fn replay_dump_to_seq(
+    bytes: &[u8],
+    stop_seq: u64,
+    base: &RunSpec,
+) -> Result<TimeTravelReport, String> {
     let d = parse_dump(bytes)?;
     if stop_seq < d.seq0 {
         return Err(format!(
@@ -1083,8 +1024,7 @@ pub fn replay_dump_to_seq(bytes: &[u8], stop_seq: u64) -> Result<TimeTravelRepor
             d.seq0
         ));
     }
-    let mut k = ksnap::restore(&d.snapshot, d.protection.engine())
-        .map_err(|e| format!("embedded snapshot rejected: {e}"))?;
+    let mut k = restore_dump(&d, base)?;
     let deadline = d.deadline;
     let stride = d.stride;
     let mut exit;

@@ -12,7 +12,7 @@
 //! * plus the §6.1.3 demo: substituting the paper's `exit(0)` forensic
 //!   shellcode makes the compromised daemon terminate gracefully.
 
-use sm_attacks::harness::{drive_shell, Protection};
+use sm_attacks::harness::{drive_shell, Protection, RunSpec};
 use sm_attacks::real_world::run_wuftpd_with;
 use sm_attacks::shellcode::PAPER_EXIT0;
 use sm_attacks::AttackOutcome;
@@ -43,10 +43,12 @@ pub struct Fig5 {
     pub forensic_substitution_exit: Option<i32>,
 }
 
-/// Run all four demonstrations.
-pub fn run() -> Fig5 {
+/// Run all four demonstrations, each configuration built with
+/// `base.with(..)`.
+pub fn run(base: &RunSpec) -> Fig5 {
+    let wuftpd = |p| run_wuftpd_with(&base.with(p));
     // (a) break mode.
-    let (break_report, _, _) = run_wuftpd_with(&Protection::SplitMem(ResponseMode::Break));
+    let (break_report, _, _) = wuftpd(Protection::SplitMem(ResponseMode::Break));
 
     // (b) + (d) observe mode with honeypot logging.
     let observe_cfg = SplitMemConfig {
@@ -54,7 +56,7 @@ pub fn run() -> Fig5 {
         honeypot_on_detect: true,
         ..SplitMemConfig::default()
     };
-    let (observe_report, mut k, conn) = run_wuftpd_with(&Protection::SplitMemCustom(observe_cfg));
+    let (observe_report, mut k, conn) = wuftpd(Protection::SplitMemCustom(observe_cfg));
     let observe_transcript = match (&observe_report.outcome, conn) {
         (AttackOutcome::ShellSpawned, Some(c)) => {
             // The report already drove `id`/`whoami`; type some more for the
@@ -92,7 +94,7 @@ pub fn run() -> Fig5 {
         response: ResponseMode::Forensics,
         ..SplitMemConfig::default()
     };
-    let (_, kf, _) = run_wuftpd_with(&Protection::SplitMemCustom(forensics_cfg));
+    let (_, kf, _) = wuftpd(Protection::SplitMemCustom(forensics_cfg));
     let forensics_dump = kf
         .sys
         .events
@@ -116,7 +118,7 @@ pub fn run() -> Fig5 {
         forensic_shellcode: Some(PAPER_EXIT0.to_vec()),
         ..SplitMemConfig::default()
     };
-    let (_, ks, _) = run_wuftpd_with(&Protection::SplitMemCustom(subst_cfg));
+    let (_, ks, _) = wuftpd(Protection::SplitMemCustom(subst_cfg));
     let forensic_substitution_exit = ks.sys.events.iter().find_map(|e| match e {
         Event::ProcessExit { code, .. } => Some(*code),
         _ => None,
@@ -139,13 +141,11 @@ pub fn run() -> Fig5 {
 /// re-run demonstration (a) with every trace layer armed and render the
 /// tail of the ring — the Algorithm 1→3 sequence around the detection —
 /// after validating the whole stream against the ordering protocol.
-pub fn trace_demo() -> String {
+pub fn trace_demo(base: &RunSpec) -> String {
     use sm_machine::trace::{check_order, mask};
-    let (report, k, _) = sm_attacks::real_world::run_wuftpd_traced_on(
-        &Protection::SplitMem(ResponseMode::Break),
-        sm_machine::TlbPreset::default(),
-        mask::ALL,
-    );
+    let mut spec = base.with(Protection::SplitMem(ResponseMode::Break));
+    spec.kconfig.trace = mask::ALL;
+    let (report, k, _) = run_wuftpd_with(&spec);
     let tracer = &k.sys.machine.tracer;
     let records = tracer.snapshot();
     // The daemon is still serving when the demo stops driving it, so the

@@ -7,11 +7,10 @@
 //! nbench test (≈ 0.97) and the Unixbench index (≈ 0.82).
 
 use rayon::prelude::*;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
-use sm_machine::TlbPreset;
-use sm_workloads::nbench::{run_nbench_on, NbenchKernel};
-use sm_workloads::unixbench::{run_unixbench_on, UnixbenchTest};
+use sm_workloads::nbench::{run_nbench, NbenchKernel};
+use sm_workloads::unixbench::{run_unixbench, UnixbenchTest};
 use sm_workloads::{geometric_mean, gzip, httpd, normalized};
 
 /// One bar of the figure.
@@ -38,8 +37,6 @@ pub struct Fig6Params {
     /// Unixbench iterations for cheap tests (expensive tests are scaled
     /// down internally).
     pub ub_iters: u32,
-    /// TLB geometry every run uses (both protected and baseline).
-    pub tlb: TlbPreset,
 }
 
 impl Default for Fig6Params {
@@ -49,7 +46,6 @@ impl Default for Fig6Params {
             gzip_kb: 64,
             nbench_iters: 300,
             ub_iters: 2500,
-            tlb: TlbPreset::default(),
         }
     }
 }
@@ -62,13 +58,7 @@ impl Fig6Params {
             gzip_kb: 16,
             nbench_iters: 40,
             ub_iters: 400,
-            ..Fig6Params::default()
         }
-    }
-
-    /// Same scale, on a different TLB geometry.
-    pub fn on(self, tlb: TlbPreset) -> Fig6Params {
-        Fig6Params { tlb, ..self }
     }
 }
 
@@ -89,59 +79,56 @@ pub fn ub_iterations_for(test: UnixbenchTest, base: u32) -> u32 {
 }
 
 /// Unixbench index (geometric mean of per-test normalized scores), as real
-/// Unixbench aggregates.
-pub fn unixbench_index(base: &Protection, prot: &Protection, iters: u32) -> f64 {
-    unixbench_index_on(base, prot, TlbPreset::default(), iters)
-}
-
-/// [`unixbench_index`] on an explicit TLB geometry. Per-test ratios fan
-/// out across threads; the geometric mean is order-insensitive, but the
-/// ratio vector keeps `UnixbenchTest::ALL` order anyway.
-pub fn unixbench_index_on(base: &Protection, prot: &Protection, tlb: TlbPreset, iters: u32) -> f64 {
+/// Unixbench aggregates: `prot` relative to `base`, both legs on `base`'s
+/// geometry and kernel configuration. Per-test ratios fan out across
+/// threads; the geometric mean is order-insensitive, but the ratio vector
+/// keeps `UnixbenchTest::ALL` order anyway.
+pub fn unixbench_index(base: &RunSpec, prot: &Protection, iters: u32) -> f64 {
+    let prot = base.with(prot.clone());
     let ratios: Vec<f64> = UnixbenchTest::ALL
         .par_iter()
         .map(|t| {
             let n = ub_iterations_for(*t, iters);
-            let b = run_unixbench_on(base, tlb, *t, n);
-            let p = run_unixbench_on(prot, tlb, *t, n);
+            let b = run_unixbench(base, *t, n);
+            let p = run_unixbench(&prot, *t, n);
             normalized(&p, &b)
         })
         .collect();
     geometric_mean(&ratios)
 }
 
-/// Run the figure. The four bars are independent workload families, so
-/// they fan out across threads (each sub-run owns its kernel); the bar
-/// order is the paper's fixed order regardless of completion order.
-pub fn run(params: Fig6Params) -> Vec<Bar> {
-    let base = Protection::Unprotected;
-    let prot = Protection::SplitMem(ResponseMode::Break);
-    let tlb = params.tlb;
+/// Run the figure: stand-alone split memory against the unprotected
+/// system, both legs built with `base.with(..)` (so `base` supplies the
+/// TLB geometry and kernel configuration). The four bars are independent
+/// workload families, so they fan out across threads (each sub-run owns
+/// its kernel); the bar order is the paper's fixed order regardless of
+/// completion order.
+pub fn run(base: &RunSpec, params: Fig6Params) -> Vec<Bar> {
+    let unprot = base.with(Protection::Unprotected);
+    let prot = base.with(Protection::SplitMem(ResponseMode::Break));
+    let (b, p) = (&unprot, &prot);
 
-    type BarJob = Box<dyn Fn() -> Bar + Send + Sync>;
-    let (b1, p1) = (base.clone(), prot.clone());
-    let (b2, p2) = (base.clone(), prot.clone());
-    let (b3, p3) = (base.clone(), prot.clone());
+    type BarJob<'a> = Box<dyn Fn() -> Bar + Send + Sync + 'a>;
     let jobs: Vec<BarJob> = vec![
-        Box::new(move || {
-            let ab = httpd::run_httpd_on(&b1, tlb, 32 * 1024, params.requests);
-            let ap = httpd::run_httpd_on(&p1, tlb, 32 * 1024, params.requests);
+        Box::new(|| {
+            let ab = httpd::run_httpd(b, 32 * 1024, params.requests);
+            let ap = httpd::run_httpd(p, 32 * 1024, params.requests);
             Bar {
                 name: "apache (32KB page)".into(),
                 normalized: normalized(&ap, &ab),
                 paper: 0.89,
             }
         }),
-        Box::new(move || {
-            let gb = gzip::run_gzip_on(&b2, tlb, params.gzip_kb);
-            let gp = gzip::run_gzip_on(&p2, tlb, params.gzip_kb);
+        Box::new(|| {
+            let gb = gzip::run_gzip(b, params.gzip_kb);
+            let gp = gzip::run_gzip(p, params.gzip_kb);
             Bar {
                 name: "gzip".into(),
                 normalized: normalized(&gp, &gb),
                 paper: 0.87,
             }
         }),
-        Box::new(move || {
+        Box::new(|| {
             // The paper quotes the *slowest* nbench test.
             let slowest = NbenchKernel::ALL
                 .par_iter()
@@ -150,9 +137,9 @@ pub fn run(params: Fig6Params) -> Vec<Bar> {
                         NbenchKernel::IntArithmetic => params.nbench_iters * 50,
                         _ => params.nbench_iters,
                     };
-                    let b = run_nbench_on(&b3, tlb, *nk, iters);
-                    let p = run_nbench_on(&p3, tlb, *nk, iters);
-                    normalized(&p, &b)
+                    let nb = run_nbench(b, *nk, iters);
+                    let np = run_nbench(p, *nk, iters);
+                    normalized(&np, &nb)
                 })
                 .collect::<Vec<f64>>()
                 .into_iter()
@@ -163,9 +150,9 @@ pub fn run(params: Fig6Params) -> Vec<Bar> {
                 paper: 0.97,
             }
         }),
-        Box::new(move || Bar {
+        Box::new(|| Bar {
             name: "unixbench index".into(),
-            normalized: unixbench_index_on(&base, &prot, tlb, params.ub_iters),
+            normalized: unixbench_index(b, &p.protection, params.ub_iters),
             paper: 0.82,
         }),
     ];

@@ -12,11 +12,10 @@
 //! small and contiguous to overflow a 4-way set on their own).
 
 use rayon::prelude::*;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_machine::tlb::TlbStats;
-use sm_machine::TlbPreset;
-use sm_workloads::unixbench::{run_unixbench_on, UnixbenchTest};
+use sm_workloads::unixbench::{run_unixbench, UnixbenchTest};
 use sm_workloads::{httpd, normalized, tlbprobe, WorkloadResult};
 
 /// One stress bar.
@@ -51,32 +50,29 @@ impl TlbDiag {
     }
 }
 
-/// Run the two stress tests.
-pub fn run(iterations: u32) -> Vec<Bar> {
-    run_on(TlbPreset::default(), iterations)
-}
+/// Run the two stress tests: stand-alone split memory against the
+/// unprotected system, both legs built with `base.with(..)`. The two
+/// stress tests are independent and fan out across threads; bar order is
+/// fixed.
+pub fn run(base: &RunSpec, iterations: u32) -> Vec<Bar> {
+    let unprot = base.with(Protection::Unprotected);
+    let prot = base.with(Protection::SplitMem(ResponseMode::Break));
+    let (b, p) = (&unprot, &prot);
 
-/// [`run`] on an explicit TLB geometry. The two stress tests are
-/// independent and fan out across threads; bar order is fixed.
-pub fn run_on(tlb: TlbPreset, iterations: u32) -> Vec<Bar> {
-    let base = Protection::Unprotected;
-    let prot = Protection::SplitMem(ResponseMode::Break);
-
-    type BarJob = Box<dyn Fn() -> Bar + Send + Sync>;
-    let (b1, p1) = (base.clone(), prot.clone());
+    type BarJob<'a> = Box<dyn Fn() -> Bar + Send + Sync + 'a>;
     let jobs: Vec<BarJob> = vec![
-        Box::new(move || {
-            let cb = run_unixbench_on(&b1, tlb, UnixbenchTest::PipeContextSwitch, iterations);
-            let cp = run_unixbench_on(&p1, tlb, UnixbenchTest::PipeContextSwitch, iterations);
+        Box::new(|| {
+            let cb = run_unixbench(b, UnixbenchTest::PipeContextSwitch, iterations);
+            let cp = run_unixbench(p, UnixbenchTest::PipeContextSwitch, iterations);
             Bar {
                 name: "unixbench pipe-ctxsw".into(),
                 normalized: normalized(&cp, &cb),
                 switches_per_unit: cb.kernel.context_switches as f64 / cb.units as f64,
             }
         }),
-        Box::new(move || {
-            let ab = httpd::run_httpd_on(&base, tlb, 1024, iterations);
-            let ap = httpd::run_httpd_on(&prot, tlb, 1024, iterations);
+        Box::new(|| {
+            let ab = httpd::run_httpd(b, 1024, iterations);
+            let ap = httpd::run_httpd(p, 1024, iterations);
             Bar {
                 name: "apache (1KB page)".into(),
                 normalized: normalized(&ap, &ab),
@@ -88,18 +84,17 @@ pub fn run_on(tlb: TlbPreset, iterations: u32) -> Vec<Bar> {
 }
 
 /// TLB miss anatomy under the stress protection: the two Fig. 7 workloads
-/// plus the strided conflict probe, all on the same geometry.
-pub fn tlb_diagnostics(tlb: TlbPreset, iterations: u32) -> Vec<TlbDiag> {
-    let prot = Protection::SplitMem(ResponseMode::Break);
+/// plus the strided conflict probe, all on `base`'s geometry.
+pub fn tlb_diagnostics(base: &RunSpec, iterations: u32) -> Vec<TlbDiag> {
+    let prot = base.with(Protection::SplitMem(ResponseMode::Break));
     vec![
-        TlbDiag::of(&run_unixbench_on(
+        TlbDiag::of(&run_unixbench(
             &prot,
-            tlb,
             UnixbenchTest::PipeContextSwitch,
             iterations,
         )),
-        TlbDiag::of(&httpd::run_httpd_on(&prot, tlb, 1024, iterations)),
-        TlbDiag::of(&tlbprobe::run_conflict_probe(&prot, tlb, iterations)),
+        TlbDiag::of(&httpd::run_httpd(&prot, 1024, iterations)),
+        TlbDiag::of(&tlbprobe::run_conflict_probe(&prot, iterations)),
     ]
 }
 

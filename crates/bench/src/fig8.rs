@@ -6,9 +6,8 @@
 //! the results become significantly better."
 
 use rayon::prelude::*;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
-use sm_machine::TlbPreset;
 use sm_workloads::{httpd, normalized};
 
 /// One sweep point.
@@ -34,21 +33,18 @@ pub const PAGE_SIZES: [u32; 7] = [
     64 * 1024,
 ];
 
-/// Run the sweep.
-pub fn run(requests: u32) -> Vec<Point> {
-    run_on(TlbPreset::default(), requests)
-}
-
-/// [`run`] on an explicit TLB geometry. Sweep points are independent and
-/// fan out across threads; the returned curve keeps `PAGE_SIZES` order.
-pub fn run_on(tlb: TlbPreset, requests: u32) -> Vec<Point> {
-    let base = Protection::Unprotected;
-    let prot = Protection::SplitMem(ResponseMode::Break);
+/// Run the sweep: stand-alone split memory against the unprotected
+/// system, both legs built with `base.with(..)`. Sweep points are
+/// independent and fan out across threads; the returned curve keeps
+/// `PAGE_SIZES` order.
+pub fn run(base: &RunSpec, requests: u32) -> Vec<Point> {
+    let unprot = base.with(Protection::Unprotected);
+    let prot = base.with(Protection::SplitMem(ResponseMode::Break));
     PAGE_SIZES
         .par_iter()
         .map(|&page_size| {
-            let b = httpd::run_httpd_on(&base, tlb, page_size, requests);
-            let p = httpd::run_httpd_on(&prot, tlb, page_size, requests);
+            let b = httpd::run_httpd(&unprot, page_size, requests);
+            let p = httpd::run_httpd(&prot, page_size, requests);
             Point {
                 page_size,
                 normalized: normalized(&p, &b),

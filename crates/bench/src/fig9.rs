@@ -12,10 +12,9 @@
 //! several kernel seeds (the paper averaged 10 runs of every benchmark).
 
 use rayon::prelude::*;
-use sm_core::setup::Protection;
-use sm_machine::TlbPreset;
+use sm_core::setup::{Protection, RunSpec};
 use sm_workloads::normalized;
-use sm_workloads::unixbench::{run_unixbench_seeded_on, UnixbenchTest};
+use sm_workloads::unixbench::{run_unixbench, UnixbenchTest};
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -31,35 +30,25 @@ pub struct Point {
 /// Fractions the sweep visits.
 pub const FRACTIONS: [f64; 7] = [0.0, 0.05, 0.10, 0.25, 0.50, 0.75, 1.0];
 
-/// Run the sweep: `iterations` ctxsw iterations, `seeds` runs per point.
-pub fn run(iterations: u32, seeds: u64) -> Vec<Point> {
-    run_on(TlbPreset::default(), iterations, seeds)
-}
-
-/// [`run`] on an explicit TLB geometry. `(fraction, seed)` samples are
-/// independent (each owns its seeded kernel) and fan out across threads;
-/// points keep `FRACTIONS` order, samples keep seed order.
-pub fn run_on(tlb: TlbPreset, iterations: u32, seeds: u64) -> Vec<Point> {
-    let base = run_unixbench_seeded_on(
-        &Protection::Unprotected,
-        tlb,
-        UnixbenchTest::PipeContextSwitch,
-        iterations,
-        1,
-    );
+/// Run the sweep: `iterations` ctxsw iterations, `seeds` runs per point,
+/// every leg built with `base.with(..)` and its own kernel seed.
+/// `(fraction, seed)` samples are independent (each owns its seeded
+/// kernel) and fan out across threads; points keep `FRACTIONS` order,
+/// samples keep seed order.
+pub fn run(base: &RunSpec, iterations: u32, seeds: u64) -> Vec<Point> {
+    let leg = |protection, seed| {
+        let mut spec = base.with(protection);
+        spec.kconfig.seed = seed;
+        run_unixbench(&spec, UnixbenchTest::PipeContextSwitch, iterations)
+    };
+    let unprot = leg(Protection::Unprotected, 1);
     FRACTIONS
         .par_iter()
         .map(|&fraction| {
             let samples: Vec<f64> = (0..seeds)
                 .map(|seed| {
-                    let p = run_unixbench_seeded_on(
-                        &Protection::CombinedFraction(fraction),
-                        tlb,
-                        UnixbenchTest::PipeContextSwitch,
-                        iterations,
-                        seed * 7919 + 13,
-                    );
-                    normalized(&p, &base)
+                    let p = leg(Protection::CombinedFraction(fraction), seed * 7919 + 13);
+                    normalized(&p, &unprot)
                 })
                 .collect();
             Point {

@@ -243,18 +243,15 @@ pub fn build_image(kind: TenantKind, variant: u32) -> ExecImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_core::setup::Protection;
-    use sm_kernel::kernel::{KernelConfig, RunExit};
+    use sm_core::setup::{Protection, RunSpec};
+    use sm_kernel::kernel::RunExit;
 
     #[test]
     fn every_worker_runs_to_exit_unprotected() {
         for kind in TenantKind::ALL {
             for v in 0..VARIANTS {
                 let image = build_image(kind, v);
-                let mut k = Protection::Unprotected.kernel(KernelConfig {
-                    aslr_stack: false,
-                    ..KernelConfig::default()
-                });
+                let mut k = RunSpec::new(Protection::Unprotected).kernel();
                 let root = k.spawn(&image).expect("spawns");
                 assert_eq!(k.run(40_000_000), RunExit::AllExited, "{kind:?} v{v}");
                 let code = k.sys.procs.get(&root.0).and_then(|p| p.exit_code);

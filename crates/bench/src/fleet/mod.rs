@@ -30,12 +30,12 @@ use crate::hist::Hist;
 use arrivals::Profile;
 use guests::{TenantKind, VARIANTS};
 use rayon::prelude::*;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::Event;
 use sm_kernel::image::ExecImage;
 use sm_kernel::kernel::{Kernel, KernelConfig};
 use sm_kernel::process::Pid;
-use sm_machine::{MachineConfig, TlbPreset};
+use sm_machine::MachineConfig;
 use sm_rng::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,12 +111,11 @@ pub struct FleetConfig {
     pub mean_interarrival: u64,
     /// Population mix.
     pub mix: Mix,
-    /// Protection configuration every cell boots with.
-    pub protection: Protection,
-    /// TLB geometry.
-    pub tlb: TlbPreset,
-    /// ASID-tagged TLBs instead of flush-on-switch.
-    pub asid_tlbs: bool,
+    /// Protection, TLB geometry and kernel configuration every cell boots
+    /// with (`kconfig.asid_tlbs` selects ASID-tagged TLBs instead of
+    /// flush-on-switch). Each cell replaces the seed with its own fork of
+    /// [`FleetConfig::seed`] and the trace settings with [`FleetConfig::trace`]'s.
+    pub spec: RunSpec,
     /// Physical frames per cell (small on purpose: memory pressure is a
     /// scenario). It caps each cell's guest memory; host RSS follows the
     /// frames guests actually touch plus their code caches.
@@ -147,9 +146,7 @@ impl Default for FleetConfig {
             requests_per_tenant: 6,
             mean_interarrival: 120_000,
             mix: Mix::Standard,
-            protection: Protection::SplitMem(sm_kernel::events::ResponseMode::Break),
-            tlb: TlbPreset::default(),
-            asid_tlbs: false,
+            spec: RunSpec::new(Protection::SplitMem(sm_kernel::events::ResponseMode::Break)),
             phys_frames: 512,
             slo_cycles: 400_000,
             horizon_cycles: 2_000_000_000,
@@ -180,9 +177,9 @@ impl FleetConfig {
             self.requests_per_tenant,
             self.mean_interarrival,
             self.mix.label(),
-            self.protection.label(),
-            self.tlb,
-            self.asid_tlbs,
+            self.spec.protection.label(),
+            self.spec.tlb,
+            self.spec.kconfig.asid_tlbs,
             self.phys_frames,
             self.slo_cycles,
         )
@@ -446,22 +443,19 @@ impl Cell {
             seed: cfg
                 .seed
                 .wrapping_add((id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            asid_tlbs: cfg.asid_tlbs,
             trace: if cfg.trace {
                 sm_trace::mask::PROC | sm_trace::mask::DETECT
             } else {
                 0
             },
             trace_capacity: if cfg.trace { 4096 } else { 0 },
-            ..KernelConfig::default()
+            ..cfg.spec.kconfig
         };
         let mconfig = MachineConfig {
             phys_frames: cfg.phys_frames,
-            nx_enabled: cfg.protection.needs_nx(),
-            tlb: cfg.tlb,
-            ..MachineConfig::default()
+            ..cfg.spec.machine_config()
         };
-        let k = Kernel::new(mconfig, kconfig, cfg.protection.engine());
+        let k = Kernel::new(mconfig, kconfig, cfg.spec.protection.engine());
         let lo = id * cfg.tenants_per_cell;
         let hi = (lo + cfg.tenants_per_cell).min(cfg.tenants);
         let tenants = (lo..hi)
@@ -894,8 +888,7 @@ pub fn shard_kill_probe(cfg: &FleetConfig, kill_at_window: u32) -> ShardKillProb
         if window == kill_at_window && !b.done {
             pre = b.k.sys.machine.tracer.snapshot();
             let bytes = sm_kernel::snapshot::save(&b.k);
-            let restored = sm_kernel::snapshot::restore(&bytes, cfg.protection.engine())
-                .expect("own snapshot restores");
+            let restored = cfg.spec.restore(&bytes).expect("own snapshot restores");
             b.k = restored; // the old kernel is dropped here
             killed = true;
         }

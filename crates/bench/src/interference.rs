@@ -19,19 +19,18 @@
 //!   isolation), invariants hold between every slice, and verdicts are
 //!   byte-identical across fault plans, thread counts and runs.
 
-use crate::chaos::{perturbation_plans, NamedPlan};
+use crate::chaos::{perturbation_plans, with_plan, NamedPlan};
 use crate::summary::{InterferenceCounters, ProcessProbe};
 use rayon::prelude::*;
 use sm_attacks::shellcode::{self, as_byte_directive};
 use sm_core::invariants::{self, Violation};
-use sm_core::setup::Protection;
+use sm_core::setup::RunSpec;
 use sm_kernel::events::Event;
 use sm_kernel::image::ExecImage;
-use sm_kernel::kernel::{KernelConfig, RunExit};
+use sm_kernel::kernel::RunExit;
 use sm_kernel::process::Pid;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
 use sm_machine::chaos::FaultPlan;
-use sm_machine::TlbPreset;
 
 /// Exit status the injected payload reports — seeing it as the attacker's
 /// exit code proves the injected bytes executed.
@@ -119,33 +118,18 @@ pub struct InterferenceRun {
     pub violations: Vec<Violation>,
 }
 
-/// Run the two-guest image under one plan, checking cross-process
-/// invariants between slices. `asid_tlbs` selects ASID-tagged TLBs instead
-/// of the default flush-on-switch model.
-pub fn run_interference_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-    asid_tlbs: bool,
-) -> InterferenceRun {
-    let image = interference_program().image;
-    run_image_on(&image, protection, tlb, plan, asid_tlbs)
+/// Run the two-guest image under `spec` (fault plan in
+/// `spec.kconfig.chaos`), checking cross-process invariants between
+/// slices. `spec.kconfig.asid_tlbs` selects ASID-tagged TLBs instead of
+/// the default flush-on-switch model.
+pub fn run_interference(spec: &RunSpec) -> InterferenceRun {
+    run_image(&interference_program().image, spec)
 }
 
-fn run_image_on(
-    image: &ExecImage,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: FaultPlan,
-    asid_tlbs: bool,
-) -> InterferenceRun {
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        chaos: plan,
-        asid_tlbs,
-        ..KernelConfig::default()
-    };
-    let mut k = protection.kernel_on(tlb, kconfig);
+fn run_image(image: &ExecImage, spec: &RunSpec) -> InterferenceRun {
+    let mut spec = spec.clone();
+    spec.kconfig.aslr_stack = false;
+    let mut k = spec.kernel();
     let parent = k.spawn(image).expect("interference image spawns");
     let (exit, violations) = invariants::run_with_checks(&mut k, 80_000_000, 100_000);
     let child = k
@@ -183,16 +167,13 @@ fn run_image_on(
     }
 }
 
-/// Run the two-guest image fault-free and collect the kernel- and
+/// Run the two-guest image under `spec` and collect the kernel- and
 /// per-process counters for the machine-readable benchmark summary.
-pub fn probe(protection: &Protection, asid_tlbs: bool) -> InterferenceCounters {
+pub fn probe(spec: &RunSpec) -> InterferenceCounters {
     let image = interference_program().image;
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        asid_tlbs,
-        ..KernelConfig::default()
-    };
-    let mut k = protection.kernel_on(TlbPreset::default(), kconfig);
+    let mut spec = spec.clone();
+    spec.kconfig.aslr_stack = false;
+    let mut k = spec.kernel();
     let parent = k.spawn(&image).expect("interference image spawns");
     let _ = invariants::run_with_checks(&mut k, 80_000_000, 100_000);
     let mut processes: Vec<ProcessProbe> = k
@@ -242,17 +223,13 @@ pub struct InterferenceCombo {
 }
 
 /// Sweep `seeds × perturbation plans` for the two-guest image under
-/// `protection`. Combos fan out across threads (each owns its seeded
-/// fault stream and kernel); results are merged in deterministic input
-/// order, byte-identical to [`sweep_interference_serial_on`].
-pub fn sweep_interference_on(
-    seeds: &[u64],
-    protection: &Protection,
-    tlb: TlbPreset,
-    asid_tlbs: bool,
-) -> Vec<InterferenceCombo> {
+/// `base`, each combo with its plan in `kconfig.chaos`; the baseline runs
+/// fault-free. Combos fan out across threads (each owns its seeded fault
+/// stream and kernel); results are merged in deterministic input order,
+/// byte-identical to [`sweep_interference_serial`].
+pub fn sweep_interference(seeds: &[u64], base: &RunSpec) -> Vec<InterferenceCombo> {
     let image = interference_program().image;
-    let baseline = run_image_on(&image, protection, tlb, FaultPlan::default(), asid_tlbs);
+    let baseline = run_image(&image, &with_plan(base, FaultPlan::default()));
     let combos: Vec<(u64, NamedPlan)> = seeds
         .iter()
         .flat_map(|&seed| {
@@ -263,7 +240,7 @@ pub fn sweep_interference_on(
         .collect();
     let runs: Vec<InterferenceRun> = combos
         .par_iter()
-        .map(|&(_, np)| run_image_on(&image, protection, tlb, np.plan, asid_tlbs))
+        .map(|&(_, np)| run_image(&image, &with_plan(base, np.plan)))
         .collect();
     combos
         .into_iter()
@@ -278,20 +255,15 @@ pub fn sweep_interference_on(
         .collect()
 }
 
-/// Single-threaded [`sweep_interference_on`], kept as the reference the
+/// Single-threaded [`sweep_interference`], kept as the reference the
 /// parallel sweep is tested byte-identical against.
-pub fn sweep_interference_serial_on(
-    seeds: &[u64],
-    protection: &Protection,
-    tlb: TlbPreset,
-    asid_tlbs: bool,
-) -> Vec<InterferenceCombo> {
+pub fn sweep_interference_serial(seeds: &[u64], base: &RunSpec) -> Vec<InterferenceCombo> {
     let image = interference_program().image;
-    let baseline = run_image_on(&image, protection, tlb, FaultPlan::default(), asid_tlbs);
+    let baseline = run_image(&image, &with_plan(base, FaultPlan::default()));
     let mut out = Vec::new();
     for &seed in seeds {
         for np in perturbation_plans(seed) {
-            let run = run_image_on(&image, protection, tlb, np.plan, asid_tlbs);
+            let run = run_image(&image, &with_plan(base, np.plan));
             out.push(InterferenceCombo {
                 plan: np.name,
                 seed,
@@ -307,16 +279,12 @@ pub fn sweep_interference_serial_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_core::setup::Protection;
     use sm_kernel::events::ResponseMode;
 
     #[test]
     fn unprotected_injection_crosses_the_fork_and_runs() {
-        let r = run_interference_on(
-            &Protection::Unprotected,
-            TlbPreset::default(),
-            FaultPlan::default(),
-            false,
-        );
+        let r = run_interference(&RunSpec::new(Protection::Unprotected));
         assert!(r.attack_succeeded, "verdict: {}", r.verdict);
         assert_eq!(
             r.victim_exit,
@@ -330,12 +298,9 @@ mod tests {
     #[test]
     fn split_memory_detects_the_cross_process_injection() {
         for asid in [false, true] {
-            let r = run_interference_on(
-                &Protection::SplitMem(ResponseMode::Break),
-                TlbPreset::default(),
-                FaultPlan::default(),
-                asid,
-            );
+            let mut spec = RunSpec::new(Protection::SplitMem(ResponseMode::Break));
+            spec.kconfig.asid_tlbs = asid;
+            let r = run_interference(&spec);
             assert!(!r.attack_succeeded, "asid={asid}: verdict: {}", r.verdict);
             assert!(r.detections >= 1, "asid={asid}: verdict: {}", r.verdict);
             assert_eq!(r.victim_exit, Some(VICTIM_CLEAN), "asid={asid}");
@@ -346,9 +311,9 @@ mod tests {
     #[test]
     fn parallel_interference_sweep_matches_serial() {
         let seeds = [1u64];
-        let split = Protection::SplitMem(ResponseMode::Break);
-        let par = sweep_interference_on(&seeds, &split, TlbPreset::default(), false);
-        let ser = sweep_interference_serial_on(&seeds, &split, TlbPreset::default(), false);
+        let split = RunSpec::new(Protection::SplitMem(ResponseMode::Break));
+        let par = sweep_interference(&seeds, &split);
+        let ser = sweep_interference_serial(&seeds, &split);
         assert_eq!(format!("{par:?}"), format!("{ser:?}"));
     }
 }

@@ -11,7 +11,7 @@
 
 use rayon::prelude::*;
 use sm_attacks::code_reuse::{self, ReuseAttack};
-use sm_attacks::harness::Protection;
+use sm_attacks::harness::{Protection, RunSpec};
 use sm_attacks::real_world::{run_scenario, Scenario};
 use sm_attacks::AttackOutcome;
 use sm_kernel::events::ResponseMode;
@@ -88,9 +88,10 @@ pub fn engines() -> Vec<Protection> {
     ]
 }
 
-/// Run the whole matrix. Cells are independent (each run owns its
-/// kernel), so they fan out across threads; results keep row-major order.
-pub fn run() -> Matrix {
+/// Run the whole matrix, every engine built with `base.with(..)`. Cells
+/// are independent (each run owns its kernel), so they fan out across
+/// threads; results keep row-major order.
+pub fn run(base: &RunSpec) -> Matrix {
     let engines = engines();
     let pairs: Vec<(Attack, Protection)> = Attack::all()
         .into_iter()
@@ -99,13 +100,14 @@ pub fn run() -> Matrix {
     let cells = pairs
         .par_iter()
         .map(|(attack, engine)| {
+            let spec = base.with(engine.clone());
             let (outcome, detections) = match attack {
                 Attack::Injection(s) => {
-                    let r = run_scenario(*s, engine);
+                    let r = run_scenario(*s, &spec);
                     (r.outcome, r.detections)
                 }
                 Attack::Reuse(a) => {
-                    let r = code_reuse::run_reuse(*a, engine);
+                    let r = code_reuse::run_reuse(*a, &spec);
                     (r.outcome, r.detections)
                 }
             };

@@ -11,7 +11,7 @@
 //! peak physical frames and throughput.
 
 use sm_core::engine::SplitMemConfig;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_workloads::{httpd, normalized, WorkloadResult};
 
@@ -28,19 +28,17 @@ pub struct MemoryRow {
     pub normalized_perf: f64,
 }
 
-/// Run the comparison on the httpd workload.
-pub fn run(page_size: u32, requests: u32) -> Vec<MemoryRow> {
-    let base = httpd::run_httpd(&Protection::Unprotected, page_size, requests);
-    let eager = httpd::run_httpd(
-        &Protection::SplitMem(ResponseMode::Break),
-        page_size,
-        requests,
-    );
+/// Run the comparison on the httpd workload, every configuration built
+/// with `spec.with(..)`.
+pub fn run(spec: &RunSpec, page_size: u32, requests: u32) -> Vec<MemoryRow> {
+    let leg = |p| httpd::run_httpd(&spec.with(p), page_size, requests);
+    let base = leg(Protection::Unprotected);
+    let eager = leg(Protection::SplitMem(ResponseMode::Break));
     let lazy_cfg = SplitMemConfig {
         lazy_code_frames: true,
         ..SplitMemConfig::default()
     };
-    let lazy = httpd::run_httpd(&Protection::SplitMemCustom(lazy_cfg), page_size, requests);
+    let lazy = leg(Protection::SplitMemCustom(lazy_cfg));
     let row = |label: &str, r: &WorkloadResult| MemoryRow {
         label: label.to_string(),
         peak_frames: r.peak_frames,

@@ -41,21 +41,19 @@
 //! and `RAYON_NUM_THREADS`.
 
 use rayon::prelude::*;
-use sm_attacks::harness::kernel_with_on;
+use sm_attacks::harness::kernel_with;
 use sm_core::invariants::{self, Violation};
-use sm_core::setup::Protection;
+use sm_core::setup::RunSpec;
 use sm_kernel::events::Event;
 use sm_kernel::image::ExecImage;
-use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
+use sm_kernel::kernel::{Kernel, RunExit};
 use sm_kernel::process::Pid;
 use sm_kernel::snapshot as ksnap;
 use sm_kernel::stats::KernelStats;
 use sm_machine::sha256::sha256;
 use sm_machine::stats::MachineStats;
 use sm_machine::trace::TraceRecord;
-use sm_machine::TlbPreset;
 use sm_workloads::httpd::{client_program, server_program};
-use sm_workloads::runner::workload_kconfig;
 use std::time::Instant;
 
 use crate::chaos::{classify_run, scenario_image, Scenario, RUN_MAX_CYCLES, RUN_STRIDE};
@@ -63,18 +61,15 @@ use crate::chaos::{classify_run, scenario_image, Scenario, RUN_MAX_CYCLES, RUN_S
 /// Everything that defines one shardable run. Both [`run_serial`] and
 /// [`run_sharded`] consume the same spec, so the equality property is a
 /// comparison between two calls on one value.
-pub struct ShardSpec<'a> {
+pub struct ShardSpec {
     /// Guest images, spawned in order before the run starts. The verdict
     /// is classified against the first image's pid.
     pub images: Vec<ExecImage>,
     /// Attack marker for verdict classification (chaos scenarios).
     pub marker: Option<u8>,
-    /// Protection configuration (also rebuilds the engine per segment).
-    pub protection: &'a Protection,
-    /// TLB geometry.
-    pub tlb: TlbPreset,
-    /// Kernel configuration — chaos plan, trace mask/capacity/filter, …
-    pub kconfig: KernelConfig,
+    /// Protection, TLB geometry and kernel configuration (chaos plan,
+    /// trace mask/capacity/filter, …). Every segment restores through it.
+    pub run: RunSpec,
     /// Install `/bin/sh` before spawning (the attack-harness boot).
     pub install_shell: bool,
     /// Cycle budget for the whole run.
@@ -83,58 +78,40 @@ pub struct ShardSpec<'a> {
     pub stride: u64,
 }
 
-impl<'a> ShardSpec<'a> {
-    /// Spec for a chaos scenario, mirroring the chaos module's runner
-    /// (attack-harness boot, fault plan, flight recorder).
-    pub fn chaos(
-        scenario: Scenario,
-        protection: &'a Protection,
-        tlb: TlbPreset,
-        plan: sm_machine::chaos::FaultPlan,
-        trace_mask: u32,
-        trace_capacity: usize,
-    ) -> ShardSpec<'a> {
+impl ShardSpec {
+    /// Spec for a chaos scenario under `spec` (fault plan in
+    /// `kconfig.chaos`, flight recorder in `kconfig.trace` and
+    /// `kconfig.trace_capacity`), mirroring the chaos module's runner:
+    /// attack-harness boot, stack at known addresses.
+    pub fn chaos(scenario: Scenario, spec: &RunSpec) -> ShardSpec {
         let (image, marker) = scenario_image(scenario);
+        let mut run = spec.clone();
+        run.kconfig.aslr_stack = false;
         ShardSpec {
             images: vec![image],
             marker,
-            protection,
-            tlb,
-            kconfig: KernelConfig {
-                aslr_stack: false,
-                chaos: plan,
-                trace: trace_mask,
-                trace_capacity,
-                ..KernelConfig::default()
-            },
+            run,
             install_shell: true,
             max_cycles: RUN_MAX_CYCLES,
             stride: RUN_STRIDE,
         }
     }
 
-    /// Spec for the fig6 Apache workload (server + client, 32 KB pages),
-    /// the long-run shape the `fig6-sharded` bench row measures.
-    pub fn fig6(
-        protection: &'a Protection,
-        tlb: TlbPreset,
-        requests: u32,
-        stride: u64,
-    ) -> ShardSpec<'a> {
+    /// Spec for the fig6 Apache workload (server + client, 32 KB pages)
+    /// under `spec` with every trace layer on, the long-run shape the
+    /// `fig6-sharded` bench row measures.
+    pub fn fig6(spec: &RunSpec, requests: u32, stride: u64) -> ShardSpec {
         let page_size = 32 * 1024;
+        let mut run = spec.clone();
+        run.kconfig.trace = sm_machine::trace::mask::ALL;
+        run.kconfig.trace_capacity = 4096;
         ShardSpec {
             images: vec![
                 server_program(page_size, requests).image,
                 client_program(page_size, requests).image,
             ],
             marker: None,
-            protection,
-            tlb,
-            kconfig: KernelConfig {
-                trace: sm_machine::trace::mask::ALL,
-                trace_capacity: 4096,
-                ..workload_kconfig()
-            },
+            run,
             install_shell: false,
             max_cycles: 20_000_000_000,
             stride,
@@ -217,9 +194,9 @@ pub fn compare_runs(serial: &ShardedRun, sharded: &ShardedRun) -> Vec<String> {
 /// reference measures the same machine.
 fn boot(spec: &ShardSpec) -> Kernel {
     let mut k = if spec.install_shell {
-        kernel_with_on(spec.protection, spec.tlb, spec.kconfig)
+        kernel_with(&spec.run)
     } else {
-        spec.protection.kernel_on(spec.tlb, spec.kconfig)
+        spec.run.kernel()
     };
     k.sys.machine.config.decode_cache = false;
     k
@@ -323,7 +300,9 @@ fn run_segment(
     slices: Option<u64>,
     pid: Pid,
 ) -> SegmentOut {
-    let mut k = ksnap::restore(bytes, spec.protection.engine())
+    let mut k = spec
+        .run
+        .restore(bytes)
         .expect("pre-pass snapshot restores in-process");
     let start_seq = k.sys.machine.tracer.emitted();
     let m_start = k.sys.machine.stats;
@@ -560,41 +539,6 @@ pub fn run_sharded(spec: &ShardSpec, shards: usize) -> ShardedRun {
     }
 }
 
-/// Convenience wrappers for the chaos CLI and the equality tests.
-pub fn run_scenario_sharded_on(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: sm_machine::chaos::FaultPlan,
-    trace_mask: u32,
-    trace_capacity: usize,
-    shards: usize,
-) -> ShardedRun {
-    run_sharded(
-        &ShardSpec::chaos(scenario, protection, tlb, plan, trace_mask, trace_capacity),
-        shards,
-    )
-}
-
-/// The shards-off counterpart of [`run_scenario_sharded_on`].
-pub fn run_scenario_serial_on(
-    scenario: Scenario,
-    protection: &Protection,
-    tlb: TlbPreset,
-    plan: sm_machine::chaos::FaultPlan,
-    trace_mask: u32,
-    trace_capacity: usize,
-) -> ShardedRun {
-    run_serial(&ShardSpec::chaos(
-        scenario,
-        protection,
-        tlb,
-        plan,
-        trace_mask,
-        trace_capacity,
-    ))
-}
-
 /// Timing comparison for the `fig6-sharded` bench row.
 #[derive(Debug, Clone)]
 pub struct ShardedProbe {
@@ -629,13 +573,12 @@ pub const FIG6_PROBE_STRIDE: u64 = 2_000;
 /// uses a finer stride than the chaos default so verification (the
 /// parallelizable half) dominates.
 pub fn fig6_sharded_probe(
-    protection: &Protection,
-    tlb: TlbPreset,
+    spec: &RunSpec,
     requests: u32,
     stride: u64,
     shards: usize,
 ) -> ShardedProbe {
-    let spec = ShardSpec::fig6(protection, tlb, requests, stride);
+    let spec = ShardSpec::fig6(spec, requests, stride);
     let t0 = Instant::now();
     let serial = run_serial(&spec);
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -7,14 +7,13 @@
 //! is tiny, fixed, and all-ASCII, and the workspace deliberately carries
 //! no serialisation dependency.
 
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
-use sm_kernel::kernel::{KernelConfig, RunExit};
+use sm_kernel::kernel::RunExit;
 use sm_kernel::userlib::ProgramBuilder;
 use sm_machine::sha256;
 use sm_machine::DecodeCacheStats;
 use sm_machine::SuperblockStats;
-use sm_machine::TlbPreset;
 use std::time::Instant;
 
 /// Wall-clock of one report section.
@@ -339,16 +338,12 @@ impl BenchSummary {
 }
 
 /// Measure raw interpreter throughput on a tight user-mode loop under
-/// stand-alone split memory, with the decode cache on or off and the
-/// trace subsystem on or off. The trace-on/trace-off pair bounds the
-/// disabled-path cost of tracing: the loop emits essentially no events,
-/// so any throughput gap is pure mask-check overhead on the hot path.
-pub fn steps_probe(decode_cache: bool, trace: bool) -> StepsProbe {
-    steps_probe_with(decode_cache, trace, sm_kernel::kernel::default_pipeline())
-}
-
-/// [`steps_probe`] with an explicit superblock-pipeline setting (the
-/// `probe-pipeline-on` / `probe-pipeline-off` rows CI tracks).
+/// stand-alone split memory, with the decode cache on or off, the trace
+/// subsystem on or off and the superblock pipeline on or off (the
+/// `probe-pipeline-on` / `probe-pipeline-off` rows CI tracks). The
+/// trace-on/trace-off pair bounds the disabled-path cost of tracing: the
+/// loop emits essentially no events, so any throughput gap is pure
+/// mask-check overhead on the hot path.
 pub fn steps_probe_with(decode_cache: bool, trace: bool, pipeline: bool) -> StepsProbe {
     let prog = ProgramBuilder::new("/bin/probe")
         .code(
@@ -362,15 +357,11 @@ pub fn steps_probe_with(decode_cache: bool, trace: bool, pipeline: bool) -> Step
         )
         .build()
         .expect("probe assembles");
-    let mut k = Protection::SplitMem(ResponseMode::Break).kernel_on(
-        TlbPreset::default(),
-        KernelConfig {
-            aslr_stack: false,
-            trace: if trace { sm_trace::mask::ALL } else { 0 },
-            pipeline,
-            ..KernelConfig::default()
-        },
-    );
+    let mut spec = RunSpec::new(Protection::SplitMem(ResponseMode::Break));
+    spec.kconfig.aslr_stack = false;
+    spec.kconfig.trace = if trace { sm_trace::mask::ALL } else { 0 };
+    spec.kconfig.pipeline = pipeline;
+    let mut k = spec.kernel();
     k.sys.machine.config.decode_cache = decode_cache;
     k.spawn(&prog.image).expect("probe spawns");
     let t0 = Instant::now();
@@ -391,11 +382,12 @@ pub fn steps_probe_with(decode_cache: bool, trace: bool, pipeline: bool) -> Step
     }
 }
 
-/// Measure checkpoint save/restore throughput on a mid-run kernel: spawn
-/// the tight-loop probe guest, advance it far enough to warm TLBs and
-/// populate page tables, then time `iterations` full serializations and
-/// validated restores of the whole system state.
-pub fn snapshot_probe(iterations: u32) -> SnapshotProbe {
+/// Measure checkpoint save/restore throughput on a mid-run kernel under
+/// `base.with(split memory)`: spawn the tight-loop probe guest, advance it
+/// far enough to warm TLBs and populate page tables, then time
+/// `iterations` full serializations and validated restores of the whole
+/// system state.
+pub fn snapshot_probe(base: &RunSpec, iterations: u32) -> SnapshotProbe {
     let iterations = iterations.max(1);
     let prog = ProgramBuilder::new("/bin/snapprobe")
         .code(
@@ -409,14 +401,9 @@ pub fn snapshot_probe(iterations: u32) -> SnapshotProbe {
         )
         .build()
         .expect("probe assembles");
-    let split = Protection::SplitMem(ResponseMode::Break);
-    let mut k = split.kernel_on(
-        TlbPreset::default(),
-        KernelConfig {
-            aslr_stack: false,
-            ..KernelConfig::default()
-        },
-    );
+    let mut split = base.with(Protection::SplitMem(ResponseMode::Break));
+    split.kconfig.aslr_stack = false;
+    let mut k = split.kernel();
     k.spawn(&prog.image).expect("probe spawns");
     assert_eq!(
         k.run(50_000),
@@ -431,7 +418,7 @@ pub fn snapshot_probe(iterations: u32) -> SnapshotProbe {
     let save_dt = t0.elapsed();
     let t0 = Instant::now();
     for _ in 0..iterations {
-        sm_kernel::snapshot::restore(&bytes, split.engine()).expect("own snapshot restores");
+        split.restore(&bytes).expect("own snapshot restores");
     }
     let restore_dt = t0.elapsed();
     let t0 = Instant::now();
@@ -458,24 +445,24 @@ mod tests {
 
     #[test]
     fn probe_counts_instructions_and_cache_traffic() {
-        let on = steps_probe(true, false);
+        let on = steps_probe_with(true, false, true);
         assert!(on.instructions > 2_000_000);
         assert!(on.dcache.hits > 1_000_000, "{:?}", on.dcache);
         assert_eq!(on.trace_events, 0);
-        let off = steps_probe(false, false);
+        let off = steps_probe_with(false, false, true);
         assert_eq!(off.dcache, DecodeCacheStats::default());
         assert!(off.instructions > 2_000_000);
     }
 
     #[test]
     fn traced_probe_captures_events_without_changing_the_run() {
-        let traced = steps_probe(true, true);
+        let traced = steps_probe_with(true, true, true);
         assert!(traced.trace, "flag must round-trip");
         assert!(
             traced.trace_events > 0,
             "spawn/exit must emit at least a few events"
         );
-        let plain = steps_probe(true, false);
+        let plain = steps_probe_with(true, false, true);
         assert_eq!(
             traced.instructions, plain.instructions,
             "tracing must not perturb the simulation"
@@ -587,7 +574,7 @@ mod tests {
 
     #[test]
     fn snapshot_probe_round_trips_and_reports() {
-        let p = snapshot_probe(3);
+        let p = snapshot_probe(&RunSpec::new(Protection::Unprotected), 3);
         assert!(p.snapshot_bytes > 1000, "{p:?}");
         assert!(
             p.save_mb_per_sec > 0.0 && p.restore_mb_per_sec > 0.0 && p.sha256_mb_per_sec > 0.0,

@@ -7,7 +7,7 @@
 //! mark = the attack was foiled).
 
 use rayon::prelude::*;
-use sm_attacks::harness::Protection;
+use sm_attacks::harness::{Protection, RunSpec};
 use sm_attacks::wilander::{self, Case, InjectLocation, Technique};
 use sm_kernel::events::ResponseMode;
 
@@ -68,36 +68,31 @@ impl Table1 {
 }
 
 /// Run the whole benchmark grid under stand-alone split memory (the
-/// paper's Table 1 configuration). Cells are independent (each run owns
+/// paper's Table 1 configuration) against the unprotected system, both
+/// legs built with `base.with(..)`. Cells are independent (each run owns
 /// its kernel), so they fan out across threads; results keep the grid's
 /// deterministic row-major order.
-pub fn run() -> Table1 {
-    run_under(&Protection::SplitMem(ResponseMode::Break))
-}
-
-/// Run the grid under an arbitrary protecting configuration — the same
-/// "succeeds unprotected, foiled with detection under the engine"
-/// contract, so other engines (combined, shadow-stack) can be held to the
-/// paper's standard.
-pub fn run_under(protection: &Protection) -> Table1 {
+pub fn run(base: &RunSpec) -> Table1 {
+    let unprot = base.with(Protection::Unprotected);
+    let prot = base.with(Protection::SplitMem(ResponseMode::Break));
     let cases = wilander::all_cases();
     let results: Vec<CellResult> = cases
         .par_iter()
-        .map(|&case| run_cell(case, protection))
+        .map(|&case| run_cell(case, &unprot, &prot))
         .collect();
     Table1 {
         cells: cases.into_iter().zip(results).collect(),
     }
 }
 
-fn run_cell(case: Case, protection: &Protection) -> CellResult {
-    let Some(base) = wilander::run_case(case, &Protection::Unprotected) else {
+fn run_cell(case: Case, unprot: &RunSpec, prot: &RunSpec) -> CellResult {
+    let Some(base) = wilander::run_case(case, unprot) else {
         return CellResult::NotApplicable;
     };
     if !base.succeeded() {
         return CellResult::Anomaly("attack failed even unprotected");
     }
-    let Some(prot) = wilander::run_case(case, protection) else {
+    let Some(prot) = wilander::run_case(case, prot) else {
         return CellResult::NotApplicable;
     };
     match prot {

@@ -6,7 +6,7 @@
 //! paper's table — under the execute-disable baseline for comparison.
 
 use rayon::prelude::*;
-use sm_attacks::harness::Protection;
+use sm_attacks::harness::{Protection, RunSpec};
 use sm_attacks::real_world::{run_scenario, Scenario};
 use sm_attacks::AttackOutcome;
 use sm_kernel::events::ResponseMode;
@@ -53,23 +53,25 @@ impl Table2 {
 
 /// Run all five scenarios under the three configurations. Scenarios fan
 /// out across threads (each run owns its kernel); row order stays the
-/// deterministic `Scenario::ALL` order.
-pub fn run() -> Table2 {
+/// deterministic `Scenario::ALL` order. Every configuration is built
+/// with `base.with(..)`.
+pub fn run(base: &RunSpec) -> Table2 {
+    let leg = |s, p| run_scenario(s, &base.with(p));
     let rows = Scenario::ALL
         .par_iter()
-        .map(|s| {
-            let base = run_scenario(*s, &Protection::Unprotected);
-            let split = run_scenario(*s, &Protection::SplitMem(ResponseMode::Break));
-            let nx = run_scenario(*s, &Protection::Nx);
-            let shadow = run_scenario(*s, &Protection::ShadowCombined(ResponseMode::Break));
+        .map(|&s| {
+            let unprot = leg(s, Protection::Unprotected);
+            let split = leg(s, Protection::SplitMem(ResponseMode::Break));
+            let nx = leg(s, Protection::Nx);
+            let shadow = leg(s, Protection::ShadowCombined(ResponseMode::Break));
             Row {
-                scenario: *s,
-                unprotected: base.outcome,
+                scenario: s,
+                unprotected: unprot.outcome,
                 split: split.outcome,
                 split_detections: split.detections,
                 nx: nx.outcome,
                 shadow: shadow.outcome,
-                attempts_unprotected: base.attempts,
+                attempts_unprotected: unprot.attempts,
             }
         })
         .collect();

@@ -68,7 +68,7 @@ pub use sm_machine::sha256;
 
 pub use engine::{SplitMemConfig, SplitMemEngine};
 pub use nx::NxEngine;
-pub use setup::Protection;
+pub use setup::{Protection, RunSpec};
 pub use shadow::{ShadowStackEngine, ShadowStats};
 pub use split::{SplitPolicy, SplitStats};
 pub use stack::{find, EngineStack};
@@ -364,7 +364,7 @@ mod tests {
             .data("x: .word 1")
             .build()
             .unwrap();
-        let mut k = Protection::Combined(ResponseMode::Break).kernel(KernelConfig::default());
+        let mut k = RunSpec::new(Protection::Combined(ResponseMode::Break)).kernel();
         let pid = k.spawn(&clean.image).unwrap();
         // Nothing mixed → nothing split, but data pages are NX-marked.
         let split = find::<SplitMemEngine>(k.engine.as_ref()).expect("split layer");

@@ -2,8 +2,9 @@
 //!
 //! Both the attack corpus and the performance workloads need to run the
 //! same guest under every protection configuration the paper evaluates;
-//! this module is the single place that maps a [`Protection`] to a machine
-//! config (execute-disable bit on or off) and an engine.
+//! this module is the single place that maps a [`Protection`] to an engine
+//! and a [`RunSpec`] — protection, TLB geometry, kernel configuration — to
+//! a machine config (execute-disable bit on or off) and a kernel.
 
 use crate::engine::{SplitMemConfig, SplitMemEngine};
 use crate::nx::NxEngine;
@@ -13,6 +14,7 @@ use crate::stack::EngineStack;
 use sm_kernel::engine::{NullEngine, ProtectionEngine};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig};
+use sm_machine::snapshot::SnapshotError;
 use sm_machine::{MachineConfig, TlbPreset};
 
 /// Protection configuration under test.
@@ -115,78 +117,148 @@ impl Protection {
         }
     }
 
-    /// Machine configuration for this protection (NX bit enabled only
-    /// where needed, mirroring legacy vs. recent hardware), on the default
-    /// TLB geometry.
-    pub fn machine_config(&self) -> MachineConfig {
-        self.machine_config_on(TlbPreset::default())
+    /// [`RunSpec::machine_config`] for this protection on `tlb`. Kept for
+    /// callers outside this workspace that build their own kernels (the
+    /// `perfbench` harness times cold boots with it).
+    pub fn machine_config_on(&self, tlb: TlbPreset) -> MachineConfig {
+        self.spec(tlb, KernelConfig::default()).machine_config()
     }
 
-    /// Machine configuration for this protection on an explicit TLB
-    /// geometry (e.g. [`TlbPreset::pentium3`] for the paper's testbed).
-    pub fn machine_config_on(&self, tlb: TlbPreset) -> MachineConfig {
-        MachineConfig {
-            nx_enabled: self.needs_nx(),
+    /// [`RunSpec::kernel`] for this protection. Kept for callers outside
+    /// this workspace (the `perfbench` harness's engine-wrapper tests).
+    pub fn kernel_on(&self, tlb: TlbPreset, kconfig: KernelConfig) -> Kernel {
+        self.spec(tlb, kconfig).kernel()
+    }
+
+    /// [`RunSpec::kernel_warm`] for this protection. Kept for callers
+    /// outside this workspace (the `perfbench` harness's warm-start
+    /// timings).
+    pub fn kernel_warm_on(&self, tlb: TlbPreset, kconfig: KernelConfig) -> Kernel {
+        self.spec(tlb, kconfig).kernel_warm()
+    }
+
+    fn spec(&self, tlb: TlbPreset, kconfig: KernelConfig) -> RunSpec {
+        RunSpec {
+            protection: self.clone(),
             tlb,
+            kconfig,
+        }
+    }
+}
+
+/// One point of the evaluation grid: a protection, the TLB geometry it
+/// runs on, and the kernel configuration. Every entry point that builds a
+/// kernel takes one, so a sweep's settings — the geometry, the seed, the
+/// trace mask, the execution pipeline — reach every kernel it builds.
+/// Drivers that compare protections build each leg with [`RunSpec::with`].
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Protection configuration (selects the engine and the NX bit).
+    pub protection: Protection,
+    /// I-TLB/D-TLB geometry.
+    pub tlb: TlbPreset,
+    /// Kernel configuration.
+    pub kconfig: KernelConfig,
+}
+
+impl RunSpec {
+    /// `protection` on the default TLB geometry and kernel configuration.
+    pub fn new(protection: Protection) -> RunSpec {
+        RunSpec {
+            protection,
+            tlb: TlbPreset::default(),
+            kconfig: KernelConfig::default(),
+        }
+    }
+
+    /// This spec with another protection: the same geometry and kernel
+    /// configuration, so two legs of a comparison differ only in the
+    /// protection.
+    pub fn with(&self, protection: Protection) -> RunSpec {
+        RunSpec {
+            protection,
+            ..self.clone()
+        }
+    }
+
+    /// Machine configuration: the NX bit is enabled only where the
+    /// protection needs it, mirroring legacy vs. recent hardware.
+    pub fn machine_config(&self) -> MachineConfig {
+        MachineConfig {
+            nx_enabled: self.protection.needs_nx(),
+            tlb: self.tlb,
             ..MachineConfig::default()
         }
     }
 
-    /// Build a ready kernel for this configuration.
-    pub fn kernel(&self, kconfig: KernelConfig) -> Kernel {
-        self.kernel_on(TlbPreset::default(), kconfig)
+    /// Boot a ready kernel.
+    pub fn kernel(&self) -> Kernel {
+        Kernel::new(
+            self.machine_config(),
+            self.kconfig,
+            self.protection.engine(),
+        )
     }
 
-    /// Build a ready kernel for this configuration on an explicit TLB
-    /// geometry.
-    pub fn kernel_on(&self, tlb: TlbPreset, kconfig: KernelConfig) -> Kernel {
-        Kernel::new(self.machine_config_on(tlb), kconfig, self.engine())
-    }
-
-    /// Like [`Protection::kernel_on`], but warm-started: the first call for
-    /// a given `(protection, tlb, kconfig)` boots a kernel cold and caches
-    /// its post-boot snapshot; later calls fork a fresh kernel from that
-    /// snapshot instead of re-booting. Sweep drivers running dozens of
-    /// combos over the same configuration share one boot this way — and
-    /// because the snapshot round-trip is exact, warm and cold kernels are
-    /// byte-identical (a property the snapshot test-suite pins).
+    /// Like [`RunSpec::kernel`], but warm-started: the first call for a
+    /// given spec boots a kernel cold and caches its post-boot snapshot;
+    /// later calls restore a fresh kernel from that snapshot instead of
+    /// re-booting. Sweep drivers running dozens of combos over the same
+    /// configuration share one boot this way — and because the snapshot
+    /// round-trip is exact, warm and cold kernels are byte-identical (a
+    /// property the snapshot test-suite pins).
     ///
     /// Falls back to a cold boot if the cached snapshot fails to restore
     /// (it cannot in-process, but degradation beats a panic).
-    pub fn kernel_warm_on(&self, tlb: TlbPreset, kconfig: KernelConfig) -> Kernel {
+    pub fn kernel_warm(&self) -> Kernel {
         use std::collections::HashMap;
         use std::sync::{Mutex, OnceLock};
         static CACHE: OnceLock<Mutex<HashMap<String, Vec<u8>>>> = OnceLock::new();
-        let key = warm_cache_key(self, &tlb, &kconfig);
+        let key = warm_cache_key(self);
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         let hit = cache.lock().unwrap().get(&key).cloned();
         if let Some(bytes) = hit {
-            if let Ok(k) = sm_kernel::snapshot::restore(&bytes, self.engine()) {
+            if let Ok(k) = self.restore(&bytes) {
                 return k;
             }
         }
-        let k = self.kernel_on(tlb, kconfig);
+        let k = self.kernel();
         cache
             .lock()
             .unwrap()
             .insert(key, sm_kernel::snapshot::save(&k));
         k
     }
+
+    /// Restore a snapshot taken under this spec's protection and continue
+    /// it under this spec's execution strategy. A snapshot holds machine
+    /// and kernel state, not how to execute it: `kconfig.pipeline` is not
+    /// serialized, so it is re-applied here. Every restore that continues
+    /// a run goes through this method.
+    ///
+    /// # Errors
+    ///
+    /// As [`sm_kernel::snapshot::restore`]: any structural, checksum or
+    /// engine-identity violation in `bytes`.
+    pub fn restore(&self, bytes: &[u8]) -> Result<Kernel, SnapshotError> {
+        let mut k = sm_kernel::snapshot::restore(bytes, self.protection.engine())?;
+        k.sys.config.pipeline = self.kconfig.pipeline;
+        Ok(k)
+    }
 }
 
-/// Warm-start cache key for [`Protection::kernel_warm_on`].
-///
-/// The key used to be the derived `Debug` formatting of the whole triple.
-/// An audit (after the trace `trace_capacity`/`trace_pid` knobs landed)
-/// found that formatting *did* still cover every field — derived `Debug`
-/// tracks the struct — so no stale-snapshot bug was live; but nothing
-/// *guaranteed* it: a future field whose `Debug` impl collapses distinct
-/// values (or a hand-written impl that omits one) would silently alias
-/// cache entries and hand sweeps a kernel booted under a different
-/// configuration. Every field is therefore enumerated by hand through
-/// exhaustive destructuring, so adding a `KernelConfig` knob fails to
-/// compile here until the key includes it.
-fn warm_cache_key(p: &Protection, tlb: &TlbPreset, kconfig: &KernelConfig) -> String {
+/// Warm-start cache key for [`RunSpec::kernel_warm`]. Every field is
+/// enumerated through exhaustive destructuring, so adding a
+/// `KernelConfig` knob fails to compile here until the key includes it:
+/// a key that missed a field would hand sweeps a kernel booted under a
+/// different configuration. `pipeline` is the one field left out: it is
+/// not snapshot state, and [`RunSpec::restore`] re-applies it.
+fn warm_cache_key(spec: &RunSpec) -> String {
+    let RunSpec {
+        protection,
+        tlb,
+        kconfig,
+    } = spec;
     let KernelConfig {
         quantum_cycles,
         stack_size,
@@ -201,12 +273,12 @@ fn warm_cache_key(p: &Protection, tlb: &TlbPreset, kconfig: &KernelConfig) -> St
         trace,
         trace_capacity,
         trace_pid,
-        pipeline,
+        pipeline: _,
     } = kconfig;
     format!(
-        "{p:?}|{tlb:?}|{quantum_cycles}|{stack_size}|{stack_top}|{aslr_stack}|{seed}\
+        "{protection:?}|{tlb:?}|{quantum_cycles}|{stack_size}|{stack_top}|{aslr_stack}|{seed}\
          |{heap_limit}|{pipe_capacity}|{chaos:?}|{asid_tlbs}|{livelock_threshold}\
-         |{trace}|{trace_capacity}|{trace_pid:?}|{pipeline}"
+         |{trace}|{trace_capacity}|{trace_pid:?}"
     )
 }
 
@@ -232,14 +304,14 @@ mod tests {
 
     #[test]
     fn nx_configs_enable_the_bit() {
-        assert!(Protection::Nx.machine_config().nx_enabled);
+        assert!(RunSpec::new(Protection::Nx).machine_config().nx_enabled);
         assert!(
-            Protection::Combined(ResponseMode::Break)
+            RunSpec::new(Protection::Combined(ResponseMode::Break))
                 .machine_config()
                 .nx_enabled
         );
         assert!(
-            !Protection::SplitMem(ResponseMode::Break)
+            !RunSpec::new(Protection::SplitMem(ResponseMode::Break))
                 .machine_config()
                 .nx_enabled
         );
@@ -247,14 +319,17 @@ mod tests {
 
     #[test]
     fn tlb_preset_reaches_the_machine() {
-        let k = Protection::SplitMem(ResponseMode::Break)
-            .kernel_on(TlbPreset::pentium3(), KernelConfig::default());
+        let k = RunSpec {
+            tlb: TlbPreset::pentium3(),
+            ..RunSpec::new(Protection::SplitMem(ResponseMode::Break))
+        }
+        .kernel();
         assert_eq!(k.sys.machine.itlb.geometry().sets, 8);
         assert_eq!(k.sys.machine.itlb.capacity(), 32);
         assert_eq!(k.sys.machine.dtlb.geometry().sets, 16);
         assert_eq!(k.sys.machine.dtlb.capacity(), 64);
         // The default path keeps the backward-compatible shape.
-        let k = Protection::Unprotected.kernel(KernelConfig::default());
+        let k = RunSpec::new(Protection::Unprotected).kernel();
         assert_eq!(k.sys.machine.dtlb.geometry().sets, 1);
         assert_eq!(k.sys.machine.dtlb.capacity(), 64);
     }
@@ -270,7 +345,7 @@ mod tests {
             Protection::ShadowStack(ResponseMode::Break),
             Protection::ShadowCombined(ResponseMode::Observe),
         ] {
-            let k = p.kernel(KernelConfig::default());
+            let k = RunSpec::new(p.clone()).kernel();
             assert_eq!(k.sys.machine.config.nx_enabled, p.needs_nx());
         }
     }
@@ -285,7 +360,7 @@ mod tests {
             (Protection::ShadowStack(ResponseMode::Break), true),
             (Protection::ShadowCombined(ResponseMode::Break), true),
         ] {
-            let k = p.kernel(KernelConfig::default());
+            let k = RunSpec::new(p.clone()).kernel();
             assert_eq!(k.sys.machine.config.cfi_events, want, "{}", p.label());
         }
     }

@@ -192,7 +192,7 @@ mod tests {
     use super::*;
     use crate::engine::SplitMemEngine;
     use crate::nx::NxEngine;
-    use crate::setup::Protection;
+    use crate::setup::{Protection, RunSpec};
     use sm_kernel::engine::NullEngine;
     use sm_kernel::events::ResponseMode;
     use sm_kernel::Kernel;
@@ -372,8 +372,8 @@ mod tests {
             .build()
             .unwrap();
         let run = |engine: Box<dyn ProtectionEngine>| {
-            let p = Protection::Nx;
-            let mut k = Kernel::new(p.machine_config(), Default::default(), engine);
+            let mconfig = RunSpec::new(Protection::Nx).machine_config();
+            let mut k = Kernel::new(mconfig, Default::default(), engine);
             let pid = k.spawn(&prog.image).unwrap();
             k.run(1_000); // schedule the guest: its address space is live
             let dtlb = |k: &Kernel| k.sys.machine.dtlb.stats.hits + k.sys.machine.dtlb.stats.misses;
@@ -447,7 +447,7 @@ mod tests {
         assert_eq!(fresh.snapshot_state(), bytes);
         // Real layers too: a busy nx+split kernel's engine state.
         let p = Protection::Combined(ResponseMode::Break);
-        let mut k = p.kernel(sm_kernel::kernel::KernelConfig::default());
+        let mut k = RunSpec::new(p.clone()).kernel();
         let prog = sm_kernel::userlib::ProgramBuilder::new("/bin/mixed")
             .mixed_segment()
             .code("_start: mov byte [v], 7\n spin: jmp spin\n v: .byte 0")

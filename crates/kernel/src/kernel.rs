@@ -83,30 +83,13 @@ pub struct KernelConfig {
     /// dispatch whenever no chaos plan is armed and no stop-sequence
     /// watch is active. Byte-identical either way — cycles, stats, TLB
     /// counters, trace stream, event log and every verdict (see
-    /// [`sm_machine::superblock`]) — so it defaults to on; tests flip it
-    /// off to check exactly that equivalence. Not serialized by the
-    /// snapshot codec: the pipeline is an execution *strategy*, not
-    /// machine state, and a restored kernel keeps its own setting.
+    /// [`sm_machine::superblock`]) — so it defaults to on; tests and the
+    /// `--no-pipeline` A/B flags turn it off to check exactly that
+    /// equivalence. Not serialized by the snapshot codec: the pipeline is
+    /// an execution *strategy*, not machine state. [`crate::snapshot::restore`]
+    /// returns a pipelined kernel; a caller that continues a run under
+    /// another setting assigns `sys.config.pipeline` after restoring.
     pub pipeline: bool,
-}
-
-/// Process-wide default for [`KernelConfig::pipeline`], so A/B harness
-/// binaries (`chaos --no-pipeline`, `fig6_normalized --no-pipeline`) can
-/// flip every internally-constructed kernel without threading a flag
-/// through each sweep entry point.
-static PIPELINE_DEFAULT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Override what `KernelConfig::default()` returns for
-/// [`KernelConfig::pipeline`] in this process (A/B harnesses only; tests
-/// that need a specific setting should set the field explicitly).
-pub fn set_default_pipeline(on: bool) {
-    PIPELINE_DEFAULT.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide [`KernelConfig::pipeline`] default (true unless
-/// [`set_default_pipeline`] was called).
-pub fn default_pipeline() -> bool {
-    PIPELINE_DEFAULT.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 impl Default for KernelConfig {
@@ -125,7 +108,7 @@ impl Default for KernelConfig {
             trace: 0,
             trace_capacity: 0,
             trace_pid: None,
-            pipeline: default_pipeline(),
+            pipeline: true,
         }
     }
 }

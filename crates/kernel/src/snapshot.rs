@@ -169,8 +169,8 @@ fn load_config(bytes: &[u8]) -> Result<KernelConfig, SnapshotError> {
         // Deliberately not serialized (the CONF format is frozen): the
         // pipeline is an execution strategy, not machine state — runs are
         // byte-identical either way — so a restored kernel takes the
-        // restoring process's default.
-        pipeline: crate::kernel::default_pipeline(),
+        // default and the caller re-applies its own setting.
+        pipeline: KernelConfig::default().pipeline,
     };
     done(&r)?;
     Ok(c)

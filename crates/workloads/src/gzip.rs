@@ -8,11 +8,9 @@
 //! switching a real gzip run experiences — while the byte loop provides the
 //! compute between them.
 
-use crate::runner::{measure, workload_kconfig, WorkloadResult};
-use sm_core::setup::Protection;
-use sm_kernel::kernel::KernelConfig;
+use crate::runner::{measure, WorkloadResult};
+use sm_core::setup::RunSpec;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::TlbPreset;
 
 /// Path of the input file in the ram fs.
 pub const INPUT_PATH: &str = "/data/input";
@@ -138,21 +136,12 @@ pub fn gzip_program() -> BuiltProgram {
 
 /// Run the workload over `kilobytes` of pseudo-random input. Work units =
 /// bytes compressed.
-pub fn run_gzip(protection: &Protection, kilobytes: u32) -> WorkloadResult {
-    run_gzip_on(protection, TlbPreset::default(), kilobytes)
-}
-
-/// [`run_gzip`] on an explicit TLB geometry.
-pub fn run_gzip_on(protection: &Protection, tlb: TlbPreset, kilobytes: u32) -> WorkloadResult {
+pub fn run_gzip(spec: &RunSpec, kilobytes: u32) -> WorkloadResult {
     // A 1 KiB pipe models the I/O batching of a disk-bound gzip run: the
     // pipeline context-switches about once per kilobyte.
-    let mut kernel = protection.kernel_warm_on(
-        tlb,
-        KernelConfig {
-            pipe_capacity: 1024,
-            ..workload_kconfig()
-        },
-    );
+    let mut spec = spec.clone();
+    spec.kconfig.pipe_capacity = 1024;
+    let mut kernel = spec.kernel_warm();
     // Deterministic "file" contents with some repetition (so the match
     // path is exercised too). The input stream forks off the kernel's own
     // seeded rng so one `KernelConfig::seed` replays the whole run.
@@ -171,26 +160,27 @@ pub fn run_gzip_on(protection: &Protection, tlb: TlbPreset, kilobytes: u32) -> W
     kernel
         .spawn(&gzip_program().image)
         .expect("pipeline spawns");
-    measure(kernel, "gzip", protection, bytes, 50_000_000_000)
+    measure(kernel, "gzip", &spec.protection, bytes, 50_000_000_000)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::normalized;
+    use sm_core::setup::Protection;
     use sm_kernel::events::ResponseMode;
 
     #[test]
     fn compresses_unprotected() {
-        let r = run_gzip(&Protection::Unprotected, 16);
+        let r = run_gzip(&RunSpec::new(Protection::Unprotected), 16);
         assert_eq!(r.units, 16 * 1024);
         assert!(r.kernel.context_switches > 4, "{:?}", r.kernel);
     }
 
     #[test]
     fn split_memory_overhead_is_moderate() {
-        let base = run_gzip(&Protection::Unprotected, 16);
-        let prot = run_gzip(&Protection::SplitMem(ResponseMode::Break), 16);
+        let base = run_gzip(&RunSpec::new(Protection::Unprotected), 16);
+        let prot = run_gzip(&RunSpec::new(Protection::SplitMem(ResponseMode::Break)), 16);
         let n = normalized(&prot, &base);
         assert!(n < 1.0 && n > 0.3, "gzip normalized {n}");
     }

@@ -10,10 +10,9 @@
 //! switches heavily while serving requests" (Fig. 7) while larger pages
 //! amortise the flushes over more I/O (Fig. 8).
 
-use crate::runner::{measure, workload_kconfig, WorkloadResult};
-use sm_core::setup::Protection;
+use crate::runner::{measure, WorkloadResult};
+use sm_core::setup::RunSpec;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::TlbPreset;
 
 /// Port the workload server binds.
 pub const HTTPD_PORT: u16 = 80;
@@ -155,18 +154,8 @@ pub fn client_program(page_size: u32, requests: u32) -> BuiltProgram {
 /// Run the benchmark: `requests` requests for a page of `page_size` bytes.
 /// Work units = requests (so normalised results compare fairly only at
 /// equal page sizes, as in the paper's figures).
-pub fn run_httpd(protection: &Protection, page_size: u32, requests: u32) -> WorkloadResult {
-    run_httpd_on(protection, TlbPreset::default(), page_size, requests)
-}
-
-/// [`run_httpd`] on an explicit TLB geometry.
-pub fn run_httpd_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    page_size: u32,
-    requests: u32,
-) -> WorkloadResult {
-    let mut kernel = protection.kernel_warm_on(tlb, workload_kconfig());
+pub fn run_httpd(spec: &RunSpec, page_size: u32, requests: u32) -> WorkloadResult {
+    let mut kernel = spec.kernel_warm();
     kernel
         .spawn(&server_program(page_size, requests).image)
         .expect("server spawns");
@@ -176,7 +165,7 @@ pub fn run_httpd_on(
     measure(
         kernel,
         format!("apache-{}k", page_size / 1024),
-        protection,
+        &spec.protection,
         requests as u64,
         20_000_000_000,
     )
@@ -186,11 +175,20 @@ pub fn run_httpd_on(
 mod tests {
     use super::*;
     use crate::runner::normalized;
+    use sm_core::setup::Protection;
     use sm_kernel::events::ResponseMode;
+
+    fn unprotected() -> RunSpec {
+        RunSpec::new(Protection::Unprotected)
+    }
+
+    fn split() -> RunSpec {
+        RunSpec::new(Protection::SplitMem(ResponseMode::Break))
+    }
 
     #[test]
     fn serves_requests_unprotected() {
-        let r = run_httpd(&Protection::Unprotected, 4096, 20);
+        let r = run_httpd(&unprotected(), 4096, 20);
         assert_eq!(r.units, 20);
         assert!(r.cycles > 0);
         assert!(r.kernel.context_switches > 20, "{:?}", r.kernel);
@@ -198,8 +196,8 @@ mod tests {
 
     #[test]
     fn split_memory_slows_but_completes() {
-        let base = run_httpd(&Protection::Unprotected, 4096, 20);
-        let prot = run_httpd(&Protection::SplitMem(ResponseMode::Break), 4096, 20);
+        let base = run_httpd(&unprotected(), 4096, 20);
+        let prot = run_httpd(&split(), 4096, 20);
         let n = normalized(&prot, &base);
         assert!(n < 1.0, "split memory should cost something: {n}");
         assert!(n > 0.1, "split memory costs implausibly much: {n}");
@@ -208,10 +206,10 @@ mod tests {
     #[test]
     fn larger_pages_amortise_better() {
         // The Fig. 8 monotonicity at its endpoints.
-        let b1 = run_httpd(&Protection::Unprotected, 1024, 25);
-        let p1 = run_httpd(&Protection::SplitMem(ResponseMode::Break), 1024, 25);
-        let b32 = run_httpd(&Protection::Unprotected, 32768, 25);
-        let p32 = run_httpd(&Protection::SplitMem(ResponseMode::Break), 32768, 25);
+        let b1 = run_httpd(&unprotected(), 1024, 25);
+        let p1 = run_httpd(&split(), 1024, 25);
+        let b32 = run_httpd(&unprotected(), 32768, 25);
+        let p32 = run_httpd(&split(), 32768, 25);
         let n1 = normalized(&p1, &b1);
         let n32 = normalized(&p32, &b32);
         assert!(

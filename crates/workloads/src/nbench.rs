@@ -8,10 +8,9 @@
 //! system calls and never context-switch, so split memory's only cost is
 //! the initial TLB population — reproducing the paper's ≈97% result.
 
-use crate::runner::{measure, workload_kconfig, WorkloadResult};
-use sm_core::setup::Protection;
+use crate::runner::{measure, WorkloadResult};
+use sm_core::setup::RunSpec;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::TlbPreset;
 
 /// The sub-benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,51 +168,30 @@ pub fn nbench_program(kernel: NbenchKernel, iterations: u32) -> BuiltProgram {
 }
 
 /// Run one sub-benchmark; work units = iterations.
-pub fn run_nbench(
-    protection: &Protection,
-    kernel: NbenchKernel,
-    iterations: u32,
-) -> WorkloadResult {
-    run_nbench_on(protection, TlbPreset::default(), kernel, iterations)
-}
-
-/// [`run_nbench`] on an explicit TLB geometry.
-pub fn run_nbench_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    kernel: NbenchKernel,
-    iterations: u32,
-) -> WorkloadResult {
-    let mut k = protection.kernel_warm_on(tlb, workload_kconfig());
+pub fn run_nbench(spec: &RunSpec, kernel: NbenchKernel, iterations: u32) -> WorkloadResult {
+    let mut k = spec.kernel_warm();
     k.spawn(&nbench_program(kernel, iterations).image)
         .expect("nbench spawns");
     measure(
         k,
         format!("nbench-{}", kernel.name()),
-        protection,
+        &spec.protection,
         iterations as u64,
         50_000_000_000,
     )
-}
-
-/// Run the whole suite.
-pub fn run_nbench_suite(protection: &Protection, iterations: u32) -> Vec<WorkloadResult> {
-    NbenchKernel::ALL
-        .iter()
-        .map(|nk| run_nbench(protection, *nk, iterations))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::normalized;
+    use sm_core::setup::Protection;
     use sm_kernel::events::ResponseMode;
 
     #[test]
     fn all_kernels_complete() {
         for nk in NbenchKernel::ALL {
-            let r = run_nbench(&Protection::Unprotected, nk, 3);
+            let r = run_nbench(&RunSpec::new(Protection::Unprotected), nk, 3);
             assert!(r.cycles > 0, "{}", nk.name());
         }
     }
@@ -224,9 +202,13 @@ mod tests {
         // notices split memory.
         // Long enough to amortise the one-time split/reload costs, as the
         // real (minutes-long) nbench run does.
-        let base = run_nbench(&Protection::Unprotected, NbenchKernel::IntArithmetic, 5000);
+        let base = run_nbench(
+            &RunSpec::new(Protection::Unprotected),
+            NbenchKernel::IntArithmetic,
+            5000,
+        );
         let prot = run_nbench(
-            &Protection::SplitMem(ResponseMode::Break),
+            &RunSpec::new(Protection::SplitMem(ResponseMode::Break)),
             NbenchKernel::IntArithmetic,
             5000,
         );

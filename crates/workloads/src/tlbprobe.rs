@@ -11,11 +11,10 @@
 //! every round — pure conflict misses, the class a fully-associative
 //! buffer of the same size would never take.
 
-use crate::runner::{measure, workload_kconfig, WorkloadResult};
-use sm_core::setup::Protection;
+use crate::runner::{measure, WorkloadResult};
+use sm_core::setup::RunSpec;
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
 use sm_machine::pte::PAGE_SIZE;
-use sm_machine::TlbPreset;
 
 /// Build the probe: each round touches one word in each of `pages` pages
 /// spaced `stride_pages` apart, for `rounds` rounds.
@@ -53,45 +52,40 @@ pub fn probe_program(pages: u32, stride_pages: u32, rounds: u32) -> BuiltProgram
 }
 
 /// Run the probe; work units = rounds.
-pub fn run_tlb_probe(
-    protection: &Protection,
-    tlb: TlbPreset,
-    pages: u32,
-    stride_pages: u32,
-    rounds: u32,
-) -> WorkloadResult {
-    let mut k = protection.kernel_warm_on(tlb, workload_kconfig());
+pub fn run_tlb_probe(spec: &RunSpec, pages: u32, stride_pages: u32, rounds: u32) -> WorkloadResult {
+    let mut k = spec.kernel_warm();
     k.spawn(&probe_program(pages, stride_pages, rounds).image)
         .expect("tlb probe spawns");
     measure(
         k,
         format!("tlbprobe-{pages}x{stride_pages}"),
-        protection,
+        &spec.protection,
         rounds as u64,
         50_000_000_000,
     )
 }
 
-/// A probe sized to thrash one D-TLB set of `tlb`: `ways + 4` pages at a
-/// stride equal to the set count, so all of them contend for a single set
-/// while staying far below total capacity.
-pub fn run_conflict_probe(protection: &Protection, tlb: TlbPreset, rounds: u32) -> WorkloadResult {
-    run_tlb_probe(
-        protection,
-        tlb,
-        tlb.dtlb.ways as u32 + 4,
-        tlb.dtlb.sets as u32,
-        rounds,
-    )
+/// A probe sized to thrash one D-TLB set of `spec.tlb`: `ways + 4` pages
+/// at a stride equal to the set count, so all of them contend for a single
+/// set while staying far below total capacity.
+pub fn run_conflict_probe(spec: &RunSpec, rounds: u32) -> WorkloadResult {
+    let dtlb = spec.tlb.dtlb;
+    run_tlb_probe(spec, dtlb.ways as u32 + 4, dtlb.sets as u32, rounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_core::setup::Protection;
+    use sm_machine::TlbPreset;
 
     #[test]
     fn probe_thrashes_one_set_on_pentium3() {
-        let r = run_conflict_probe(&Protection::Unprotected, TlbPreset::pentium3(), 50);
+        let spec = RunSpec {
+            tlb: TlbPreset::pentium3(),
+            ..RunSpec::new(Protection::Unprotected)
+        };
+        let r = run_conflict_probe(&spec, 50);
         assert!(
             r.dtlb.conflict_misses > 0,
             "an 8-page single-set working set must conflict-miss on a 4-way D-TLB: {:?}",
@@ -108,7 +102,7 @@ mod tests {
 
     #[test]
     fn probe_is_conflict_free_when_fully_associative() {
-        let r = run_conflict_probe(&Protection::Unprotected, TlbPreset::default(), 50);
+        let r = run_conflict_probe(&RunSpec::new(Protection::Unprotected), 50);
         assert_eq!(
             r.dtlb.conflict_misses, 0,
             "a single-set buffer cannot take conflict misses: {:?}",

@@ -4,10 +4,9 @@
 //! pipe-based context-switching test as the stand-alone worst case of
 //! Fig. 7).
 
-use crate::runner::{measure, workload_kconfig, WorkloadResult};
-use sm_core::setup::Protection;
+use crate::runner::{measure, WorkloadResult};
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
-use sm_machine::TlbPreset;
 
 /// The sub-benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -335,53 +334,11 @@ fn install_true(k: &mut sm_kernel::Kernel) {
     k.sys.fs.install("/bin/true", tru.image.to_bytes());
 }
 
-/// Run one sub-benchmark; work units = iterations.
-pub fn run_unixbench(
-    protection: &Protection,
-    test: UnixbenchTest,
-    iterations: u32,
-) -> WorkloadResult {
-    run_unixbench_seeded(protection, test, iterations, workload_kconfig().seed)
-}
-
-/// [`run_unixbench`] on an explicit TLB geometry.
-pub fn run_unixbench_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    test: UnixbenchTest,
-    iterations: u32,
-) -> WorkloadResult {
-    run_unixbench_seeded_on(protection, tlb, test, iterations, workload_kconfig().seed)
-}
-
-/// Like [`run_unixbench`] with an explicit kernel seed — the Fig. 9 sweep
-/// averages several seeds per split fraction because which pages get split
-/// is a random draw.
-pub fn run_unixbench_seeded(
-    protection: &Protection,
-    test: UnixbenchTest,
-    iterations: u32,
-    seed: u64,
-) -> WorkloadResult {
-    run_unixbench_seeded_on(protection, TlbPreset::default(), test, iterations, seed)
-}
-
-/// [`run_unixbench_seeded`] on an explicit TLB geometry.
-pub fn run_unixbench_seeded_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    test: UnixbenchTest,
-    iterations: u32,
-    seed: u64,
-) -> WorkloadResult {
-    let k = protection.kernel_warm_on(
-        tlb,
-        sm_kernel::kernel::KernelConfig {
-            seed,
-            ..workload_kconfig()
-        },
-    );
-    run_unixbench_kernel(k, protection, test, iterations)
+/// Run one sub-benchmark; work units = iterations. The kernel seed is
+/// `spec.kconfig.seed`: the Fig. 9 sweep averages several seeds per split
+/// fraction because which pages get split is a random draw.
+pub fn run_unixbench(spec: &RunSpec, test: UnixbenchTest, iterations: u32) -> WorkloadResult {
+    run_unixbench_kernel(spec.kernel_warm(), &spec.protection, test, iterations)
 }
 
 /// Run one sub-benchmark on a caller-built kernel (cost-model and engine
@@ -404,44 +361,27 @@ pub fn run_unixbench_kernel(
     )
 }
 
-/// Run the full suite.
-pub fn run_unixbench_suite(protection: &Protection, iterations: u32) -> Vec<WorkloadResult> {
-    run_unixbench_suite_on(protection, TlbPreset::default(), iterations)
-}
-
-/// [`run_unixbench_suite`] on an explicit TLB geometry.
-pub fn run_unixbench_suite_on(
-    protection: &Protection,
-    tlb: TlbPreset,
-    iterations: u32,
-) -> Vec<WorkloadResult> {
-    UnixbenchTest::ALL
-        .iter()
-        .map(|t| run_unixbench_on(protection, tlb, *t, iterations))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::normalized;
     use sm_kernel::events::ResponseMode;
 
+    fn unprotected() -> RunSpec {
+        RunSpec::new(Protection::Unprotected)
+    }
+
     #[test]
     fn all_tests_complete() {
         for t in UnixbenchTest::ALL {
-            let r = run_unixbench(&Protection::Unprotected, t, 4);
+            let r = run_unixbench(&unprotected(), t, 4);
             assert!(r.cycles > 0, "{}", t.name());
         }
     }
 
     #[test]
     fn ctxsw_actually_switches() {
-        let r = run_unixbench(
-            &Protection::Unprotected,
-            UnixbenchTest::PipeContextSwitch,
-            25,
-        );
+        let r = run_unixbench(&unprotected(), UnixbenchTest::PipeContextSwitch, 25);
         assert!(
             r.kernel.context_switches >= 40,
             "expected ≥2 switches/iteration, got {:?}",
@@ -453,13 +393,9 @@ mod tests {
     fn ctxsw_is_the_split_memory_worst_case() {
         // Fig. 7: pipe-based context switching under stand-alone split
         // memory is at or below 50% of unprotected speed.
-        let base = run_unixbench(
-            &Protection::Unprotected,
-            UnixbenchTest::PipeContextSwitch,
-            25,
-        );
+        let base = run_unixbench(&unprotected(), UnixbenchTest::PipeContextSwitch, 25);
         let prot = run_unixbench(
-            &Protection::SplitMem(ResponseMode::Break),
+            &RunSpec::new(Protection::SplitMem(ResponseMode::Break)),
             UnixbenchTest::PipeContextSwitch,
             25,
         );

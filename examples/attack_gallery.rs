@@ -6,12 +6,12 @@
 //! Run with: `cargo run --release -p sm-bench --example attack_gallery`
 
 use sm_attacks::code_reuse::{self, ReuseAttack};
-use sm_attacks::harness::Protection;
+use sm_attacks::harness::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 
 fn main() {
     println!("engine x attack matrix (paper Tables 1/2 + the §7 code-reuse extension)\n");
-    let m = sm_bench::matrix::run();
+    let m = sm_bench::matrix::run(&RunSpec::new(Protection::Unprotected));
     println!("{}", sm_bench::matrix::render(&m));
     let violations = m.violations();
     if violations.is_empty() {
@@ -42,10 +42,11 @@ fn main() {
         Protection::NxResponse(ResponseMode::Observe),
         Protection::SplitMem(ResponseMode::Observe),
     ] {
-        let r = code_reuse::run_reuse(ReuseAttack::DcrFingerprint, &protection);
+        let label = protection.label();
+        let r = code_reuse::run_reuse(ReuseAttack::DcrFingerprint, &RunSpec::new(protection));
         println!(
             "  {:<24} probe says {:<6} outcome {:?}, {} detections",
-            protection.label(),
+            label,
             r.marker.as_deref().unwrap_or("(none)"),
             r.outcome,
             r.detections

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p sm-bench --example honeypot`
 
-use sm_attacks::harness::{drive_shell, Protection};
+use sm_attacks::harness::{drive_shell, Protection, RunSpec};
 use sm_attacks::real_world::run_wuftpd_with;
 use sm_attacks::AttackOutcome;
 use sm_core::engine::SplitMemConfig;
@@ -20,7 +20,8 @@ fn main() {
         honeypot_on_detect: true,
         ..SplitMemConfig::default()
     };
-    let (report, mut kernel, conn) = run_wuftpd_with(&Protection::SplitMemCustom(cfg));
+    let (report, mut kernel, conn) =
+        run_wuftpd_with(&RunSpec::new(Protection::SplitMemCustom(cfg)));
 
     assert_eq!(
         report.outcome,

@@ -9,11 +9,12 @@
 //! under the paper's engines.
 
 use sm_bench::matrix::{self, Attack};
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 
 #[test]
 fn matrix_matches_pinned_expectations() {
-    let m = matrix::run();
+    let m = matrix::run(&RunSpec::new(Protection::Unprotected));
     let violations = m.violations();
     assert!(
         violations.is_empty(),

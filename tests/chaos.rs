@@ -2,11 +2,11 @@
 //! engine invariants must survive deterministic fault injection, and the
 //! hardened kernel must handle OOM and livelock without panicking.
 
-use sm_attacks::harness::{kernel_with, kernel_with_on};
+use sm_attacks::harness::kernel_with;
 use sm_attacks::wilander::{self, InjectLocation, Technique};
 use sm_bench::chaos::{self, Scenario};
 use sm_core::invariants;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::userlib::ProgramBuilder;
@@ -18,14 +18,14 @@ fn split_break() -> Protection {
 }
 
 fn chaos_kernel(protection: &Protection, plan: FaultPlan) -> Kernel {
-    kernel_with(
-        protection,
-        KernelConfig {
+    kernel_with(&RunSpec {
+        kconfig: KernelConfig {
             aslr_stack: false,
             chaos: plan,
             ..KernelConfig::default()
         },
-    )
+        ..RunSpec::new(protection.clone())
+    })
 }
 
 /// A deliberately hostile plan — flushing both TLBs after *every* step
@@ -196,7 +196,7 @@ fn perturbed_attack_verdicts_match_the_fault_free_run() {
         location: InjectLocation::Stack,
     };
     let scenarios = [Scenario::Wilander(case), Scenario::Benign];
-    let results = chaos::sweep(&[7], &scenarios, &split_break());
+    let results = chaos::sweep(&[7], &scenarios, &RunSpec::new(split_break()));
     assert!(!results.is_empty());
     for r in &results {
         assert!(
@@ -228,7 +228,8 @@ fn oom_plans_never_let_the_attack_win() {
         location: InjectLocation::Stack,
     };
     let scenarios = [Scenario::Wilander(case)];
-    let results = chaos::sweep_oom(&[7], &scenarios, &Protection::Combined(ResponseMode::Break));
+    let combined = RunSpec::new(Protection::Combined(ResponseMode::Break));
+    let results = chaos::sweep_oom(&[7], &scenarios, &combined);
     assert!(!results.is_empty());
     for r in &results {
         assert!(
@@ -307,15 +308,15 @@ fn chaos_runs_replay_identically_per_geometry() {
         ..FaultPlan::default()
     };
     let run = |tlb: TlbPreset| {
-        let mut k = kernel_with_on(
-            &split_break(),
+        let mut k = kernel_with(&RunSpec {
+            protection: split_break(),
             tlb,
-            KernelConfig {
+            kconfig: KernelConfig {
                 aslr_stack: false,
                 chaos: plan,
                 ..KernelConfig::default()
             },
-        );
+        });
         let prog = ProgramBuilder::new("/bin/det")
             .mixed_segment()
             .code(

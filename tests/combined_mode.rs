@@ -4,7 +4,7 @@
 use sm_core::engine::SplitMemEngine;
 use sm_core::find;
 use sm_core::nx::NxEngine;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::engine::ProtectionEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig};
@@ -12,7 +12,7 @@ use sm_kernel::userlib::ProgramBuilder;
 use sm_machine::MachineConfig;
 
 fn combined_kernel() -> Kernel {
-    Protection::Combined(ResponseMode::Break).kernel(KernelConfig::default())
+    RunSpec::new(Protection::Combined(ResponseMode::Break)).kernel()
 }
 
 fn split_pages(k: &Kernel, pid: sm_kernel::Pid) -> usize {

@@ -10,19 +10,19 @@
 
 use sm_attacks::harness::{classify_marker, kernel_with, AttackOutcome};
 use sm_attacks::wilander::{self, Case, InjectLocation, Technique, MARKER};
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::userlib::ProgramBuilder;
 
 fn kernel(protection: &Protection) -> Kernel {
-    kernel_with(
-        protection,
-        KernelConfig {
+    kernel_with(&RunSpec {
+        kconfig: KernelConfig {
             aslr_stack: false,
             ..KernelConfig::default()
         },
-    )
+        ..RunSpec::new(protection.clone())
+    })
 }
 
 /// A mixed-segment program that patches the immediate of its own

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use sm_bench::fleet::{self, arrivals::Profile, guests, FleetConfig, Mix};
 use sm_core::invariants;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{KernelConfig, RunExit};
 use sm_machine::TlbPreset;
@@ -102,14 +102,14 @@ fn shard_count_cannot_change_tenant_outcomes() {
 fn attacker_detection_holds_in_both_tlb_models_and_geometries() {
     for asid in [false, true] {
         for tlb in [TlbPreset::default(), TlbPreset::pentium3()] {
-            let cfg = FleetConfig {
+            let mut cfg = FleetConfig {
                 tenants: 20,
                 shards: 2,
                 requests_per_tenant: 3,
-                asid_tlbs: asid,
-                tlb,
                 ..FleetConfig::default()
             };
+            cfg.spec.kconfig.asid_tlbs = asid;
+            cfg.spec.tlb = tlb;
             let r = fleet::run(&cfg);
             let (det, att) = r.detection();
             assert!(att > 0, "population must include attackers");
@@ -131,7 +131,7 @@ fn unprotected_fleet_lets_every_payload_through() {
         tenants: 20,
         shards: 2,
         requests_per_tenant: 3,
-        protection: Protection::Unprotected,
+        spec: RunSpec::new(Protection::Unprotected),
         ..FleetConfig::default()
     };
     let r = fleet::run(&cfg);
@@ -210,10 +210,14 @@ fn exit_storm_reclaims_every_frame() {
     // refcount-lockstep (#7) and live-count (#11) invariants must stay
     // clean while the storm is in flight.
     let image = guests::build_image(guests::TenantKind::ForkBomb, 1);
-    let mut k = Protection::SplitMem(ResponseMode::Break).kernel(KernelConfig {
-        aslr_stack: false,
-        ..KernelConfig::default()
-    });
+    let mut k = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            ..KernelConfig::default()
+        },
+        ..RunSpec::new(Protection::SplitMem(ResponseMode::Break))
+    }
+    .kernel();
     let baseline_alloc = k.sys.machine.phys.allocator.allocated_count();
     let baseline_tracked = k.sys.frames.tracked();
     let baseline_live = k.sys.live_process_count();
@@ -243,10 +247,14 @@ fn reap_is_a_zombie_only_operation() {
     // reap() must refuse to remove live processes and return the exit
     // code exactly once for zombies.
     let image = guests::build_image(guests::TenantKind::Gzip, 0);
-    let mut k = Protection::Unprotected.kernel(KernelConfig {
-        aslr_stack: false,
-        ..KernelConfig::default()
-    });
+    let mut k = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            ..KernelConfig::default()
+        },
+        ..RunSpec::new(Protection::Unprotected)
+    }
+    .kernel();
     let pid = k.spawn(&image).expect("spawns");
     assert_eq!(k.reap(pid), None, "live process must not be reapable");
     assert_eq!(k.run(40_000_000), RunExit::AllExited);
@@ -290,10 +298,8 @@ proptest! {
     ) {
         let asid = asid_ix == 1;
         let profile = [Profile::Poisson, Profile::Burst, Profile::Ramp][profile_ix];
-        let cfg = FleetConfig {
-            asid_tlbs: asid,
-            ..small_cfg(seed, 2, profile, Mix::Standard)
-        };
+        let mut cfg = small_cfg(seed, 2, profile, Mix::Standard);
+        cfg.spec.kconfig.asid_tlbs = asid;
         let r = fleet::run(&cfg);
         let (det, att) = r.detection();
         prop_assert!(att > 0);

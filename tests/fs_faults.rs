@@ -8,7 +8,7 @@
 //! every cross-slice invariant holds.
 
 use sm_core::invariants;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
@@ -22,11 +22,15 @@ fn run_under_faults(
     files: &[(&str, Vec<u8>)],
     plan: FaultPlan,
 ) -> (Option<i32>, Kernel) {
-    let mut k = Protection::SplitMem(ResponseMode::Break).kernel(KernelConfig {
-        aslr_stack: false,
-        chaos: plan,
-        ..KernelConfig::default()
-    });
+    let mut k = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            chaos: plan,
+            ..KernelConfig::default()
+        },
+        ..RunSpec::new(Protection::SplitMem(ResponseMode::Break))
+    }
+    .kernel();
     for (path, bytes) in files {
         k.sys.fs.install(*path, bytes.clone());
     }

@@ -10,6 +10,7 @@
 //! performance) works identically on the software-loaded-TLB machine.
 
 use sm_core::engine::{SplitMemConfig, SplitMemEngine};
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::engine::NullEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig};
@@ -231,7 +232,7 @@ fn protection_holds_on_the_software_tlb_machine() {
 #[test]
 fn softtlb_port_has_noticeably_lower_overhead() {
     // The §4.7 performance claim as a hard assertion.
-    let ab = sm_bench::ablation::softtlb_port(25);
+    let ab = sm_bench::ablation::softtlb_port(&RunSpec::new(Protection::Unprotected), 25);
     assert!(
         ab.soft_tlb > ab.x86 + 0.2,
         "soft-TLB {:.3} should be well above x86 {:.3}",

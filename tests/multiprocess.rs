@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use sm_core::invariants;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{KernelConfig, RunExit};
 use sm_kernel::userlib::{BuiltProgram, ProgramBuilder};
@@ -103,11 +103,15 @@ struct RunOutcome {
 /// Run under split memory with invariant checking between slices,
 /// asserting convergence, clean invariants, and frame balance.
 fn run_checked(prog: &BuiltProgram, plan: FaultPlan) -> RunOutcome {
-    let mut k = Protection::SplitMem(ResponseMode::Break).kernel(KernelConfig {
-        aslr_stack: false,
-        chaos: plan,
-        ..KernelConfig::default()
-    });
+    let mut k = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            chaos: plan,
+            ..KernelConfig::default()
+        },
+        ..RunSpec::new(Protection::SplitMem(ResponseMode::Break))
+    }
+    .kernel();
     let free0 = k.sys.machine.phys.allocator.free_count();
     let pid = k.spawn(&prog.image).expect("program spawns");
     let (exit, violations) = invariants::run_with_checks(&mut k, 100_000_000, 100_000);

@@ -7,7 +7,7 @@
 
 use sm_attacks::wilander::{Case, InjectLocation, Technique};
 use sm_bench::chaos::{self, Scenario};
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
 
@@ -34,10 +34,9 @@ fn lines(results: &[chaos::ComboResult]) -> Vec<String> {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let seeds = [1u64, 2];
-    let split = Protection::SplitMem(ResponseMode::Break);
-    let tlb = TlbPreset::default();
-    let serial = lines(&chaos::sweep_serial_on(&seeds, &scenarios(), &split, tlb));
-    let parallel = lines(&chaos::sweep_on(&seeds, &scenarios(), &split, tlb));
+    let split = RunSpec::new(Protection::SplitMem(ResponseMode::Break));
+    let serial = lines(&chaos::sweep_serial(&seeds, &scenarios(), &split));
+    let parallel = lines(&chaos::sweep(&seeds, &scenarios(), &split));
     assert_eq!(serial, parallel);
     // The sweep must also be exhaustive: every scenario × seed × plan combo
     // appears exactly once, in scenario-major order.
@@ -48,10 +47,12 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 #[test]
 fn parallel_sweep_is_deterministic_across_runs() {
     let seeds = [3u64];
-    let split = Protection::SplitMem(ResponseMode::Break);
-    let tlb = TlbPreset::pentium3();
-    let first = lines(&chaos::sweep_on(&seeds, &scenarios(), &split, tlb));
-    let second = lines(&chaos::sweep_on(&seeds, &scenarios(), &split, tlb));
+    let split = RunSpec {
+        tlb: TlbPreset::pentium3(),
+        ..RunSpec::new(Protection::SplitMem(ResponseMode::Break))
+    };
+    let first = lines(&chaos::sweep(&seeds, &scenarios(), &split));
+    let second = lines(&chaos::sweep(&seeds, &scenarios(), &split));
     assert_eq!(first, second);
 }
 
@@ -62,21 +63,14 @@ fn interference_sweep_is_byte_identical_to_serial_and_across_runs() {
     // single-threaded reference byte for byte, run after run.
     use sm_bench::interference;
     let seeds = [2u64];
-    let split = Protection::SplitMem(ResponseMode::Break);
-    let tlb = TlbPreset::default();
+    let split = RunSpec::new(Protection::SplitMem(ResponseMode::Break));
     let render = |combos: &[interference::InterferenceCombo]| -> Vec<String> {
         combos.iter().map(|c| format!("{c:?}")).collect()
     };
-    let serial = render(&interference::sweep_interference_serial_on(
-        &seeds, &split, tlb, false,
-    ));
-    let parallel = render(&interference::sweep_interference_on(
-        &seeds, &split, tlb, false,
-    ));
+    let serial = render(&interference::sweep_interference_serial(&seeds, &split));
+    let parallel = render(&interference::sweep_interference(&seeds, &split));
     assert_eq!(serial, parallel);
-    let again = render(&interference::sweep_interference_on(
-        &seeds, &split, tlb, false,
-    ));
+    let again = render(&interference::sweep_interference(&seeds, &split));
     assert_eq!(parallel, again);
     assert_eq!(
         parallel.len(),
@@ -87,12 +81,11 @@ fn interference_sweep_is_byte_identical_to_serial_and_across_runs() {
 #[test]
 fn parallel_oom_sweep_is_deterministic_across_runs() {
     let seeds = [1u64, 2];
-    let combined = Protection::Combined(ResponseMode::Break);
-    let tlb = TlbPreset::default();
-    let first = lines(&chaos::sweep_oom_on(&seeds, &scenarios(), &combined, tlb));
-    let second = lines(&chaos::sweep_oom_on(&seeds, &scenarios(), &combined, tlb));
+    let combined = RunSpec::new(Protection::Combined(ResponseMode::Break));
+    let first = lines(&chaos::sweep_oom(&seeds, &scenarios(), &combined));
+    let second = lines(&chaos::sweep_oom(&seeds, &scenarios(), &combined));
     assert_eq!(first, second);
-    for r in chaos::sweep_oom_on(&seeds, &scenarios(), &combined, tlb) {
+    for r in chaos::sweep_oom(&seeds, &scenarios(), &combined) {
         assert!(
             !r.run.attack_succeeded,
             "attack succeeded under OOM: {} {} seed={}",

@@ -2,18 +2,31 @@
 //! every run (absolute numbers are testbed-specific; shapes are not).
 
 use sm_bench::fig6::{self, Fig6Params};
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_machine::TlbPreset;
 use sm_workloads::nbench::{run_nbench, NbenchKernel};
 use sm_workloads::unixbench::{run_unixbench, UnixbenchTest};
 use sm_workloads::{httpd, normalized};
 
+/// The unprotected system on the default TLB geometry: the base spec the
+/// figure drivers build their legs from.
+fn default_geometry() -> RunSpec {
+    RunSpec::new(Protection::Unprotected)
+}
+
+fn pentium3() -> RunSpec {
+    RunSpec {
+        tlb: TlbPreset::pentium3(),
+        ..default_geometry()
+    }
+}
+
 #[test]
 fn fig6_ordering_holds() {
     // nbench (compute) ≥ apache-32k ≈ gzip ≥ unixbench index, and
     // everything lands in the paper's "reasonable" band.
-    let bars = fig6::run(Fig6Params::quick());
+    let bars = fig6::run(&default_geometry(), Fig6Params::quick());
     let get = |name: &str| {
         bars.iter()
             .find(|b| b.name.contains(name))
@@ -42,7 +55,7 @@ fn fig6_ordering_holds() {
 fn fig7_stress_tests_are_at_or_below_the_mid_fifties() {
     // Paper: "both are at or below 50 percent". Allow a little slack on
     // the quick configuration.
-    for bar in sm_bench::fig7::run(30) {
+    for bar in sm_bench::fig7::run(&default_geometry(), 30) {
         assert!(
             bar.normalized < 0.56,
             "{} not stressed enough: {:.3}",
@@ -54,7 +67,7 @@ fn fig7_stress_tests_are_at_or_below_the_mid_fifties() {
 
 #[test]
 fn fig8_curve_rises_monotonically_modulo_noise() {
-    let points = sm_bench::fig8::run(15);
+    let points = sm_bench::fig8::run(&default_geometry(), 15);
     assert_eq!(points.len(), sm_bench::fig8::PAGE_SIZES.len());
     // Endpoints: heavy hit at 1KB, mild at 64KB.
     assert!(points.first().unwrap().normalized < 0.6);
@@ -74,7 +87,7 @@ fn fig8_curve_rises_monotonically_modulo_noise() {
 
 #[test]
 fn fig9_endpoints_match_the_papers_claim() {
-    let points = sm_bench::fig9::run(30, 4);
+    let points = sm_bench::fig9::run(&default_geometry(), 30, 4);
     let at = |f: f64| {
         points
             .iter()
@@ -103,7 +116,7 @@ fn fig9_endpoints_match_the_papers_claim() {
 /// compat preset to that geometry.
 #[test]
 fn fig6_ordering_holds_on_the_pentium3_geometry() {
-    let bars = fig6::run(Fig6Params::quick().on(TlbPreset::pentium3()));
+    let bars = fig6::run(&pentium3(), Fig6Params::quick());
     let get = |name: &str| {
         bars.iter()
             .find(|b| b.name.contains(name))
@@ -130,7 +143,7 @@ fn fig6_ordering_holds_on_the_pentium3_geometry() {
 
 #[test]
 fn fig7_stress_bound_holds_on_the_pentium3_geometry() {
-    for bar in sm_bench::fig7::run_on(TlbPreset::pentium3(), 30) {
+    for bar in sm_bench::fig7::run(&pentium3(), 30) {
         assert!(
             bar.normalized < 0.56,
             "{} not stressed enough: {:.3}",
@@ -146,12 +159,12 @@ fn fig7_stress_bound_holds_on_the_pentium3_geometry() {
 /// pressure is structurally impossible — reports exactly zero.
 #[test]
 fn fig7_diagnostics_show_conflict_misses_only_when_sets_exist() {
-    let p3 = sm_bench::fig7::tlb_diagnostics(TlbPreset::pentium3(), 30);
+    let p3 = sm_bench::fig7::tlb_diagnostics(&pentium3(), 30);
     assert!(
         p3.iter().any(|d| d.dtlb.conflict_misses > 0),
         "no D-TLB conflict misses anywhere on pentium3: {p3:?}"
     );
-    let flat = sm_bench::fig7::tlb_diagnostics(TlbPreset::default(), 30);
+    let flat = sm_bench::fig7::tlb_diagnostics(&default_geometry(), 30);
     for d in &flat {
         assert_eq!(
             d.itlb.conflict_misses + d.dtlb.conflict_misses,
@@ -164,7 +177,7 @@ fn fig7_diagnostics_show_conflict_misses_only_when_sets_exist() {
 
 #[test]
 fn fig8_curve_shape_holds_on_the_pentium3_geometry() {
-    let points = sm_bench::fig8::run_on(TlbPreset::pentium3(), 15);
+    let points = sm_bench::fig8::run(&pentium3(), 15);
     assert!(points.first().unwrap().normalized < 0.6);
     assert!(points.last().unwrap().normalized > 0.85);
     for w in points.windows(2) {
@@ -181,7 +194,7 @@ fn fig8_curve_shape_holds_on_the_pentium3_geometry() {
 
 #[test]
 fn fig9_endpoints_hold_on_the_pentium3_geometry() {
-    let points = sm_bench::fig9::run_on(TlbPreset::pentium3(), 30, 4);
+    let points = sm_bench::fig9::run(&pentium3(), 30, 4);
     let at = |f: f64| {
         points
             .iter()
@@ -199,20 +212,16 @@ fn context_switch_overhead_is_the_dominant_mechanism() {
     // §4.6: "The problem of context switches is, in fact, the greatest
     // cause of overhead." Compare a switch-free compute run against the
     // switch-heavy stress test at equal protection.
-    let base_c = run_nbench(&Protection::Unprotected, NbenchKernel::NumericSort, 20);
+    let base_c = run_nbench(&default_geometry(), NbenchKernel::NumericSort, 20);
     let prot_c = run_nbench(
-        &Protection::SplitMem(ResponseMode::Break),
+        &RunSpec::new(Protection::SplitMem(ResponseMode::Break)),
         NbenchKernel::NumericSort,
         20,
     );
     let compute = normalized(&prot_c, &base_c);
-    let base_s = run_unixbench(
-        &Protection::Unprotected,
-        UnixbenchTest::PipeContextSwitch,
-        25,
-    );
+    let base_s = run_unixbench(&default_geometry(), UnixbenchTest::PipeContextSwitch, 25);
     let prot_s = run_unixbench(
-        &Protection::SplitMem(ResponseMode::Break),
+        &RunSpec::new(Protection::SplitMem(ResponseMode::Break)),
         UnixbenchTest::PipeContextSwitch,
         25,
     );
@@ -226,8 +235,12 @@ fn context_switch_overhead_is_the_dominant_mechanism() {
 #[test]
 fn split_memory_roughly_doubles_resident_memory() {
     // §5.1: "the memory usage of an application is effectively doubled."
-    let base = httpd::run_httpd(&Protection::Unprotected, 4096, 5);
-    let split = httpd::run_httpd(&Protection::SplitMem(ResponseMode::Break), 4096, 5);
+    let base = httpd::run_httpd(&default_geometry(), 4096, 5);
+    let split = httpd::run_httpd(
+        &RunSpec::new(Protection::SplitMem(ResponseMode::Break)),
+        4096,
+        5,
+    );
     let ratio = split.peak_frames as f64 / base.peak_frames as f64;
     assert!(
         (1.5..=2.5).contains(&ratio),
@@ -241,7 +254,7 @@ fn split_memory_roughly_doubles_resident_memory() {
 fn ablation_planted_ret_is_slower_than_single_step() {
     // §4.2.4: the rejected loader "actually decreased the system's
     // efficiency".
-    let ab = sm_bench::ablation::itlb_loader(25);
+    let ab = sm_bench::ablation::itlb_loader(&default_geometry(), 25);
     assert!(
         ab.planted_ret < ab.single_step,
         "planted-ret {:.3} should be slower than single-step {:.3}",
@@ -252,7 +265,7 @@ fn ablation_planted_ret_is_slower_than_single_step() {
 
 #[test]
 fn trap_cost_sensitivity_is_monotone() {
-    let sens = sm_bench::ablation::trap_cost_sensitivity(25);
+    let sens = sm_bench::ablation::trap_cost_sensitivity(&default_geometry(), 25);
     for w in sens.windows(2) {
         assert!(
             w[1].normalized < w[0].normalized,
@@ -265,7 +278,7 @@ fn trap_cost_sensitivity_is_monotone() {
 fn lazy_code_frames_cut_memory_without_perf_impact() {
     // §5.1: "We would anticipate this optimization to not have any
     // noticeable impact on performance."
-    let rows = sm_bench::memory::run(4096, 10);
+    let rows = sm_bench::memory::run(&default_geometry(), 4096, 10);
     let eager = &rows[1];
     let lazy = &rows[2];
     assert!(

@@ -15,12 +15,15 @@
 //! * **Snapshot compat** — snapshot bytes do not depend on the pipeline
 //!   setting, a restored kernel starts with a cold (derived-only)
 //!   superblock tier, and the restored run converges identically.
+//! * **Spec reach** — a `RunSpec` with the pipeline off yields per-step
+//!   kernels whether booted cold, warm-started or restored, and the
+//!   figure runners' bars and points are identical with it on and off.
 
 use proptest::prelude::*;
-use sm_attacks::harness::{classify_marker, kernel_with_on, AttackOutcome};
+use sm_attacks::harness::{classify_marker, kernel_with, AttackOutcome};
 use sm_attacks::wilander::{self, InjectLocation, Technique, MARKER};
 use sm_bench::chaos;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::snapshot as ksnap;
@@ -50,10 +53,10 @@ fn run_case(
     pipeline: bool,
 ) -> (Kernel, String) {
     let built = wilander::build_case(canonical_case()).expect("case applies");
-    let mut k = kernel_with_on(
-        protection,
+    let mut k = kernel_with(&RunSpec {
+        protection: protection.clone(),
         tlb,
-        KernelConfig {
+        kconfig: KernelConfig {
             aslr_stack: false,
             chaos: plan,
             trace: mask::ALL,
@@ -61,7 +64,7 @@ fn run_case(
             pipeline,
             ..KernelConfig::default()
         },
-    );
+    });
     let pid = k.spawn(&built.image).expect("spawn");
     let exit = k.run(80_000_000);
     assert_eq!(exit, RunExit::AllExited, "case must converge: {exit:?}");
@@ -194,16 +197,15 @@ fn busy_program() -> sm_kernel::image::ExecImage {
 fn compute_guest_is_equivalent_under_both_protections() {
     for protection in [Protection::Unprotected, split_break()] {
         let run = |pipeline: bool| {
-            let mut k = kernel_with_on(
-                &protection,
-                TlbPreset::default(),
-                KernelConfig {
+            let mut k = kernel_with(&RunSpec {
+                kconfig: KernelConfig {
                     aslr_stack: false,
                     trace: mask::ALL,
                     pipeline,
                     ..KernelConfig::default()
                 },
-            );
+                ..RunSpec::new(protection.clone())
+            });
             let pid = k.spawn(&busy_program()).expect("spawn");
             assert_eq!(k.run(80_000_000), RunExit::AllExited);
             let code = k.sys.procs.get(&pid.0).and_then(|p| p.exit_code);
@@ -244,15 +246,14 @@ fn self_patcher() -> sm_kernel::image::ExecImage {
 #[test]
 fn self_modifying_guest_bails_and_executes_fresh_bytes() {
     let run = |pipeline: bool| {
-        let mut k = kernel_with_on(
-            &Protection::Unprotected,
-            TlbPreset::default(),
-            KernelConfig {
+        let mut k = kernel_with(&RunSpec {
+            kconfig: KernelConfig {
                 aslr_stack: false,
                 pipeline,
                 ..KernelConfig::default()
             },
-        );
+            ..RunSpec::new(Protection::Unprotected)
+        });
         let pid = k.spawn(&self_patcher()).expect("spawn");
         assert_eq!(k.run(80_000_000), RunExit::AllExited);
         let code = k.sys.procs.get(&pid.0).and_then(|p| p.exit_code);
@@ -286,16 +287,15 @@ fn snapshot_bytes_ignore_pipeline_and_restore_starts_cold() {
     let split = split_break();
     let built = wilander::build_case(canonical_case()).expect("case applies");
     let partial = |pipeline: bool| {
-        let mut k = kernel_with_on(
-            &split,
-            TlbPreset::default(),
-            KernelConfig {
+        let mut k = kernel_with(&RunSpec {
+            kconfig: KernelConfig {
                 aslr_stack: false,
                 trace: mask::ALL,
                 pipeline,
                 ..KernelConfig::default()
             },
-        );
+            ..RunSpec::new(split.clone())
+        });
         let pid = k.spawn(&built.image).expect("spawn");
         // Stop mid-flight: enough to warm the pipeline, short of the
         // detection.
@@ -354,4 +354,60 @@ fn snapshot_bytes_ignore_pipeline_and_restore_starts_cold() {
         restored.sys.machine.superblocks.stats.builds > 0,
         "restored kernel must rebuild blocks as it runs"
     );
+}
+
+/// A spec with the pipeline off reaches every kernel built from it: the
+/// cold boot, the first warm start (which boots cold and caches the
+/// snapshot), every later warm start (restored from that snapshot) and an
+/// explicit restore all run per-step, so a hot loop never hits a cached
+/// superblock. The same spec with the pipeline on does hit, so the check
+/// is not vacuous.
+#[test]
+fn pipeline_off_spec_reaches_cold_warm_and_restored_kernels() {
+    let hits = |mut k: Kernel| {
+        k.spawn(&busy_program()).expect("spawn");
+        assert_eq!(k.run(80_000_000), RunExit::AllExited);
+        k.sys.machine.superblocks.stats.hits
+    };
+    let mut off = RunSpec::new(split_break());
+    off.kconfig.pipeline = false;
+    let cold = off.kernel();
+    let warm_first = off.kernel_warm();
+    let warm = off.kernel_warm();
+    let restored = off
+        .restore(&ksnap::save(&cold))
+        .expect("own snapshot restores");
+    for (name, k) in [
+        ("cold", cold),
+        ("first warm", warm_first),
+        ("warm", warm),
+        ("restored", restored),
+    ] {
+        assert!(!k.sys.config.pipeline, "{name} kernel is pipelined");
+        assert_eq!(hits(k), 0, "{name} kernel ran superblocks");
+    }
+    let on = RunSpec::new(split_break());
+    assert!(on.kernel_warm().sys.config.pipeline);
+    assert!(hits(on.kernel_warm()) > 0, "pipelined warm kernel must hit");
+}
+
+/// The figure runners give identical bars and points with the pipeline on
+/// and off (small Fig. 7–9 runs; the full figures are diffed by CI).
+#[test]
+fn figure_outputs_do_not_depend_on_the_pipeline() {
+    let specs = [true, false].map(|pipeline| {
+        let mut base = RunSpec::new(Protection::Unprotected);
+        base.kconfig.pipeline = pipeline;
+        base
+    });
+    let [on, off] = specs.map(|base| {
+        (
+            format!("{:?}", sm_bench::fig7::run(&base, 10)),
+            format!("{:?}", sm_bench::fig8::run(&base, 3)),
+            format!("{:?}", sm_bench::fig9::run(&base, 10, 1)),
+        )
+    });
+    assert_eq!(on.0, off.0, "fig. 7 bars");
+    assert_eq!(on.1, off.1, "fig. 8 points");
+    assert_eq!(on.2, off.2, "fig. 9 points");
 }

@@ -1,7 +1,7 @@
 //! Response-mode semantics (paper §4.5, Fig. 5): break kills, observe
 //! logs-then-allows, forensics dumps and optionally substitutes.
 
-use sm_attacks::harness::Protection;
+use sm_attacks::harness::{Protection, RunSpec};
 use sm_attacks::real_world::run_wuftpd_with;
 use sm_attacks::shellcode::PAPER_EXIT0;
 use sm_attacks::AttackOutcome;
@@ -10,7 +10,7 @@ use sm_kernel::events::{Event, ResponseMode};
 
 #[test]
 fn fig5_all_four_demonstrations() {
-    let f = sm_bench::fig5::run();
+    let f = sm_bench::fig5::run(&RunSpec::new(Protection::Unprotected));
 
     // (a) break: foiled with detection.
     assert_eq!(f.break_outcome, AttackOutcome::Foiled { detected: true });
@@ -53,7 +53,7 @@ fn observe_mode_logs_only_the_first_execution_per_page() {
         response: ResponseMode::Observe,
         ..SplitMemConfig::default()
     };
-    let (report, k, _) = run_wuftpd_with(&Protection::SplitMemCustom(cfg));
+    let (report, k, _) = run_wuftpd_with(&RunSpec::new(Protection::SplitMemCustom(cfg)));
     assert_eq!(report.outcome, AttackOutcome::ShellSpawned);
     let detections = k
         .sys
@@ -74,7 +74,7 @@ fn forensic_dump_contains_the_actual_injected_bytes() {
         shellcode_dump_len: 32,
         ..SplitMemConfig::default()
     };
-    let (_, k, _) = run_wuftpd_with(&Protection::SplitMemCustom(cfg));
+    let (_, k, _) = run_wuftpd_with(&RunSpec::new(Protection::SplitMemCustom(cfg)));
     let dump = k
         .sys
         .events
@@ -96,7 +96,7 @@ fn forensic_substitution_runs_instead_of_the_attack() {
         forensic_shellcode: Some(PAPER_EXIT0.to_vec()),
         ..SplitMemConfig::default()
     };
-    let (report, k, _) = run_wuftpd_with(&Protection::SplitMemCustom(cfg));
+    let (report, k, _) = run_wuftpd_with(&RunSpec::new(Protection::SplitMemCustom(cfg)));
     // No shell: the attacker's payload was replaced wholesale.
     assert!(!report.outcome.succeeded());
     // The daemon exited gracefully with status 0.
@@ -117,7 +117,7 @@ fn recurring_attacks_share_a_fingerprint() {
             shellcode_dump_len: 96, // the whole stage-one payload
             ..SplitMemConfig::default()
         };
-        let (_, k, _) = run_wuftpd_with(&Protection::SplitMemCustom(cfg));
+        let (_, k, _) = run_wuftpd_with(&RunSpec::new(Protection::SplitMemCustom(cfg)));
         let dump = k
             .sys
             .events
@@ -150,7 +150,6 @@ fn mixed_only_policy_limits_response_modes_to_mixed_pages() {
     // engine in observe mode, an attack on an NX-covered (non-mixed) page
     // is *killed* by the execute-disable bit — it cannot be observed —
     // while the same attack on a mixed page is observed and proceeds.
-    use sm_kernel::kernel::KernelConfig;
     use sm_kernel::userlib::ProgramBuilder;
 
     let attack_code = "_start:
@@ -173,7 +172,7 @@ fn mixed_only_policy_limits_response_modes_to_mixed_pages() {
         .build()
         .unwrap();
     let run = |prog: &sm_kernel::userlib::BuiltProgram| {
-        let mut k = Protection::Combined(ResponseMode::Observe).kernel(KernelConfig::default());
+        let mut k = RunSpec::new(Protection::Combined(ResponseMode::Observe)).kernel();
         let pid = k.spawn(&prog.image).unwrap();
         k.run(20_000_000);
         k.sys.procs.get(&pid.0).and_then(|p| p.exit_code)

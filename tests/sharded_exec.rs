@@ -18,14 +18,13 @@ use sm_bench::chaos::{self, Scenario};
 use sm_bench::interference;
 use sm_bench::shards::{self, ShardSpec};
 use sm_core::invariants;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::snapshot as ksnap;
 use sm_kernel::userlib::BuiltProgram;
 use sm_machine::chaos::FaultPlan;
 use sm_machine::trace::mask;
-use sm_machine::TlbPreset;
 
 fn split_break() -> Protection {
     Protection::SplitMem(ResponseMode::Break)
@@ -50,15 +49,11 @@ fn chaos_spec(
     trace_mask: u32,
     capacity: usize,
     stride: u64,
-) -> ShardSpec<'_> {
-    let mut spec = ShardSpec::chaos(
-        scenario,
-        protection,
-        TlbPreset::default(),
-        plan,
-        trace_mask,
-        capacity,
-    );
+) -> ShardSpec {
+    let mut run = chaos::with_plan(&RunSpec::new(protection.clone()), plan);
+    run.kconfig.trace = trace_mask;
+    run.kconfig.trace_capacity = capacity;
+    let mut spec = ShardSpec::chaos(scenario, &run);
     spec.stride = stride;
     spec
 }
@@ -150,16 +145,16 @@ proptest! {
 /// one state component snapshots do not carry, so it must be off for a
 /// restored kernel to continue byte-identically).
 fn boot_bare(plan: FaultPlan) -> Kernel {
-    let split = split_break();
-    let mut k = split.kernel_on(
-        TlbPreset::default(),
-        KernelConfig {
+    let mut k = RunSpec {
+        kconfig: KernelConfig {
             aslr_stack: false,
             chaos: plan,
             trace: mask::ALL,
             ..KernelConfig::default()
         },
-    );
+        ..RunSpec::new(split_break())
+    }
+    .kernel();
     k.sys.machine.config.decode_cache = false;
     k
 }

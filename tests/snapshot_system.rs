@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use sm_attacks::wilander;
 use sm_bench::chaos::{self, Scenario};
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{KernelConfig, RunExit};
 use sm_kernel::snapshot as ksnap;
@@ -31,6 +31,19 @@ use sm_machine::TlbPreset;
 
 fn split_break() -> Protection {
     Protection::SplitMem(ResponseMode::Break)
+}
+
+/// Split memory under `plan` with every trace layer recording: the spec
+/// of the checkpointed chaos runs below.
+fn traced(plan: FaultPlan) -> RunSpec {
+    let mut spec = chaos::with_plan(&RunSpec::new(split_break()), plan);
+    spec.kconfig.trace = mask::ALL;
+    spec
+}
+
+/// The spec dumps replay under (the dump supplies the protection).
+fn replay_base() -> RunSpec {
+    RunSpec::new(Protection::Unprotected)
 }
 
 fn canonical_scenario() -> Scenario {
@@ -84,17 +97,15 @@ proptest! {
     #[test]
     fn replay_from_checkpoint_is_exact(seed in 1u64..32, plan_idx in 0usize..7, every in 1u64..4) {
         let scenario = canonical_scenario();
-        let split = split_break();
-        let tlb = TlbPreset::default();
         let plans = chaos::perturbation_plans(seed);
         let plan = FaultPlan {
             snap_fault_every: Some(3),
             ..plans[plan_idx % plans.len()].plan
         };
-        let (plain, plain_jsonl) =
-            chaos::run_scenario_traced_on(scenario, &split, tlb, plan, mask::ALL);
-        let cp = chaos::run_scenario_checkpointed_on(
-            scenario, &split, tlb, plan, mask::ALL, chaos::Cadence { every, stride: 500 },
+        let spec = traced(plan);
+        let (plain, plain_jsonl) = chaos::run_scenario(scenario, &spec);
+        let cp = chaos::run_scenario_checkpointed(
+            scenario, &spec, chaos::Cadence { every, stride: 500 },
         );
         // Checkpointing (and snapshot-fault injection) is invisible to
         // the guest.
@@ -106,7 +117,7 @@ proptest! {
         // faults ate every single one).
         if cp.snapshot.is_some() {
             let dump = dump_of(&cp, scenario, plan, 500);
-            let rep = chaos::replay_dump(&dump).expect("dump replays");
+            let rep = chaos::replay_dump(&dump, &replay_base()).expect("dump replays");
             prop_assert!(rep.verdict_matches, "verdict {} != {}", rep.verdict, rep.expected_verdict);
             prop_assert!(rep.splice_matches, "trace tail diverged");
             prop_assert!(rep.violations.is_empty());
@@ -120,16 +131,12 @@ proptest! {
 #[test]
 fn replay_reproduces_detection_verdict_across_intervals() {
     let scenario = canonical_scenario();
-    let split = split_break();
-    let plan = snap_faulting_plan(1);
+    let spec = traced(snap_faulting_plan(1));
     for every in [1u64, 2] {
         let (cp, dump) = chaos::checkpointed_dump(
             scenario,
-            &split,
-            TlbPreset::default(),
+            &spec,
             "seeded-detection",
-            plan,
-            mask::ALL,
             chaos::Cadence { every, stride: 500 },
         )
         .expect("combo dumps");
@@ -141,7 +148,7 @@ fn replay_reproduces_detection_verdict_across_intervals() {
         assert!(cp.snap_faults_injected > 0, "plan must fault snapshots");
         assert_eq!(cp.snap_faults_undetected, 0, "all faults must be caught");
         assert_eq!(cp.run.verdict, "foiled(detected=true)");
-        let rep = chaos::replay_dump(&dump).expect("dump replays");
+        let rep = chaos::replay_dump(&dump, &replay_base()).expect("dump replays");
         assert!(
             rep.verdict_matches,
             "{} != {}",
@@ -161,12 +168,9 @@ fn corrupted_snapshots_and_dumps_never_panic() {
     let scenario = canonical_scenario();
     let split = split_break();
     let plan = snap_faulting_plan(7);
-    let cp = chaos::run_scenario_checkpointed_on(
+    let cp = chaos::run_scenario_checkpointed(
         scenario,
-        &split,
-        TlbPreset::default(),
-        plan,
-        mask::ALL,
+        &traced(plan),
         chaos::Cadence {
             every: 1,
             stride: 500,
@@ -210,16 +214,19 @@ fn corrupted_snapshots_and_dumps_never_panic() {
         let mut b = dump.clone();
         let i = next() as usize % b.len();
         b[i] ^= 1 << (next() % 8);
-        assert!(chaos::replay_dump(&b).is_err(), "flip at {i} accepted");
+        assert!(
+            chaos::replay_dump(&b, &replay_base()).is_err(),
+            "flip at {i} accepted"
+        );
     }
     for _ in 0..50 {
         let cut = next() as usize % dump.len();
         assert!(
-            chaos::replay_dump(&dump[..cut]).is_err(),
+            chaos::replay_dump(&dump[..cut], &replay_base()).is_err(),
             "cut at {cut} accepted"
         );
     }
-    assert!(chaos::replay_dump(&[]).is_err());
+    assert!(chaos::replay_dump(&[], &replay_base()).is_err());
 }
 
 /// Snapshot/dump bytes are a pure function of the run: identical whether
@@ -233,11 +240,8 @@ fn snapshot_bytes_identical_across_thread_counts() {
     let make = || {
         let (cp, dump) = chaos::checkpointed_dump(
             scenario,
-            &split_break(),
-            TlbPreset::default(),
+            &traced(snap_faulting_plan(1)),
             "golden",
-            snap_faulting_plan(1),
-            mask::ALL,
             chaos::Cadence {
                 every: 2,
                 stride: 500,
@@ -249,9 +253,10 @@ fn snapshot_bytes_identical_across_thread_counts() {
     let lines = |combos: &[chaos::ComboResult]| -> Vec<String> {
         combos.iter().map(|c| format!("{c:?}")).collect()
     };
-    let parallel = chaos::sweep_on(&[1], &[scenario], &split_break(), TlbPreset::default());
+    let split = RunSpec::new(split_break());
+    let parallel = chaos::sweep(&[1], &[scenario], &split);
     let a = make();
-    let serial = chaos::sweep_serial_on(&[1], &[scenario], &split_break(), TlbPreset::default());
+    let serial = chaos::sweep_serial(&[1], &[scenario], &split);
     let b = make();
     assert_eq!(lines(&parallel), lines(&serial));
     assert_eq!(a.0, b.0, "snapshot bytes differ across runs/thread counts");
@@ -274,7 +279,7 @@ fn engine_snapshot_bytes_deterministic_run_to_run() {
         Protection::ShadowCombined(ResponseMode::Break),
     ] {
         let bytes = || {
-            let (k, _) = sm_attacks::code_reuse::run_libd_benign(&protection);
+            let (k, _) = sm_attacks::code_reuse::run_libd_benign(&RunSpec::new(protection.clone()));
             ksnap::save(&k)
         };
         let a = bytes();
@@ -303,7 +308,7 @@ fn engine_snapshot_bytes_deterministic_run_to_run() {
 #[test]
 fn snapshot_digests_match_the_scalar_oracle() {
     use sm_machine::sha256::{sha256, sha256_scalar};
-    let protection = Protection::ShadowCombined(ResponseMode::Break);
+    let protection = RunSpec::new(Protection::ShadowCombined(ResponseMode::Break));
     let (k, _) = sm_attacks::code_reuse::run_libd_benign(&protection);
     let bytes = ksnap::save(&k);
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
@@ -354,16 +359,17 @@ fn loop_program() -> BuiltProgram {
 /// guest to completion.
 #[test]
 fn warm_start_is_byte_identical_to_cold() {
-    let split = split_break();
-    let tlb = TlbPreset::default();
-    let kconfig = KernelConfig {
-        aslr_stack: false,
-        ..KernelConfig::default()
+    let split = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            ..KernelConfig::default()
+        },
+        ..RunSpec::new(split_break())
     };
-    let cold = split.kernel_on(tlb, kconfig);
+    let cold = split.kernel();
     // First call seeds the cache (itself a cold boot), second restores.
-    let _ = split.kernel_warm_on(tlb, kconfig);
-    let warm = split.kernel_warm_on(tlb, kconfig);
+    let _ = split.kernel_warm();
+    let warm = split.kernel_warm();
     assert_eq!(
         ksnap::save(&cold),
         ksnap::save(&warm),
@@ -392,24 +398,23 @@ fn warm_start_is_byte_identical_to_cold() {
 /// construction and after running a guest under the filter.
 #[test]
 fn warm_cache_distinguishes_trace_knobs() {
-    let split = split_break();
-    let tlb = TlbPreset::default();
-    let base = KernelConfig {
-        aslr_stack: false,
-        trace: mask::ALL,
-        ..KernelConfig::default()
+    let base = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            trace: mask::ALL,
+            ..KernelConfig::default()
+        },
+        ..RunSpec::new(split_break())
     };
-    let filtered = KernelConfig {
-        trace_pid: Some(1),
-        trace_capacity: 8,
-        ..base
-    };
+    let mut filtered = base.clone();
+    filtered.kconfig.trace_pid = Some(1);
+    filtered.kconfig.trace_capacity = 8;
     // Seed the cache with the unfiltered sibling first — the regression
     // scenario is the *second* lookup aliasing the first's snapshot.
-    let _ = split.kernel_warm_on(tlb, base);
-    let _ = split.kernel_warm_on(tlb, filtered);
-    let warm = split.kernel_warm_on(tlb, filtered);
-    let cold = split.kernel_on(tlb, filtered);
+    let _ = base.kernel_warm();
+    let _ = filtered.kernel_warm();
+    let warm = filtered.kernel_warm();
+    let cold = filtered.kernel();
     assert_eq!(
         ksnap::save(&cold),
         ksnap::save(&warm),
@@ -439,20 +444,22 @@ fn warm_cache_distinguishes_trace_knobs() {
 /// sequence number is assigned.
 #[test]
 fn trace_knobs_bound_and_filter_the_ring() {
-    let split = split_break();
-    let tlb = TlbPreset::default();
+    let split = |kconfig| {
+        RunSpec {
+            kconfig,
+            ..RunSpec::new(split_break())
+        }
+        .kernel()
+    };
     let prog = loop_program();
 
     // Capacity knob: tiny ring, long event stream.
-    let mut k = split.kernel_on(
-        tlb,
-        KernelConfig {
-            aslr_stack: false,
-            trace: mask::ALL,
-            trace_capacity: 8,
-            ..KernelConfig::default()
-        },
-    );
+    let mut k = split(KernelConfig {
+        aslr_stack: false,
+        trace: mask::ALL,
+        trace_capacity: 8,
+        ..KernelConfig::default()
+    });
     k.spawn(&prog.image).expect("spawns");
     assert_eq!(k.run(50_000_000), RunExit::AllExited);
     let ring = k.sys.machine.tracer.snapshot();
@@ -466,15 +473,12 @@ fn trace_knobs_bound_and_filter_the_ring() {
     // it; a filter on a pid that never exists keeps (and numbers)
     // nothing.
     let spawn_traced = |pid_filter| {
-        let mut k = split.kernel_on(
-            tlb,
-            KernelConfig {
-                aslr_stack: false,
-                trace: mask::ALL,
-                trace_pid: pid_filter,
-                ..KernelConfig::default()
-            },
-        );
+        let mut k = split(KernelConfig {
+            aslr_stack: false,
+            trace: mask::ALL,
+            trace_pid: pid_filter,
+            ..KernelConfig::default()
+        });
         let pid = k.spawn(&prog.image).expect("spawns");
         assert_eq!(k.run(50_000_000), RunExit::AllExited);
         (k, pid)
@@ -511,7 +515,7 @@ fn golden_dump_replays() {
         "/../../tests/golden/chaos_demo.smcdump"
     );
     let bytes = std::fs::read(path).expect("golden dump is checked in");
-    let rep = chaos::replay_dump(&bytes).expect("golden dump replays");
+    let rep = chaos::replay_dump(&bytes, &replay_base()).expect("golden dump replays");
     assert!(
         rep.verdict_matches,
         "{} != {}",

@@ -6,7 +6,7 @@ use sm_attacks::shellcode;
 use sm_bench::chaos::mixed_patch_program;
 use sm_core::engine::{SplitMemConfig, SplitMemEngine};
 use sm_core::invariants;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::engine::NullEngine;
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
@@ -58,7 +58,7 @@ fn no_frames_leak_across_any_engine() {
         Protection::Nx,
         Protection::Combined(ResponseMode::Break),
     ] {
-        let mut k = protection.kernel(KernelConfig::default());
+        let mut k = RunSpec::new(protection.clone()).kernel();
         let free0 = k.sys.machine.phys.allocator.free_count();
         let pid = k.spawn(&echo_program().image).unwrap();
         k.sys.proc_mut(pid).input = b"x\n".to_vec();
@@ -98,7 +98,7 @@ fn every_protection_keeps_invariants_on_a_live_mixed_page_guest() {
     ]);
     let image = mixed_patch_program().image;
     for p in &protections {
-        let mut k = p.kernel(KernelConfig::default());
+        let mut k = RunSpec::new(p.clone()).kernel();
         k.spawn(&image).unwrap();
         assert_eq!(invariants::check(&k), [], "after spawn under {}", p.label());
         let (exit, violations) = invariants::run_with_checks(&mut k, 10_000_000, 500);

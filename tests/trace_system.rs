@@ -17,11 +17,11 @@
 //!   snapshot, and chaos-slice diffs across fork/exit stay sane.
 
 use proptest::prelude::*;
-use sm_attacks::harness::{classify_marker, kernel_with_on};
+use sm_attacks::harness::{classify_marker, kernel_with};
 use sm_attacks::wilander::{self, InjectLocation, Technique, MARKER};
 use sm_bench::chaos::{self, Scenario};
 use sm_core::invariants;
-use sm_core::setup::Protection;
+use sm_core::setup::{Protection, RunSpec};
 use sm_kernel::events::ResponseMode;
 use sm_kernel::kernel::{Kernel, KernelConfig, RunExit};
 use sm_kernel::stats::KernelStats;
@@ -30,7 +30,6 @@ use sm_machine::chaos::FaultPlan;
 use sm_machine::stats::MachineStats;
 use sm_machine::tlb::TlbStats;
 use sm_machine::trace::{check_order, mask};
-use sm_machine::TlbPreset;
 
 fn split_break() -> Protection {
     Protection::SplitMem(ResponseMode::Break)
@@ -47,16 +46,15 @@ fn canonical_case() -> wilander::Case {
 /// fault plan, returning everything an equivalence check needs.
 fn run_case(plan: FaultPlan, trace: u32) -> (Kernel, String) {
     let built = wilander::build_case(canonical_case()).expect("case applies");
-    let mut k = kernel_with_on(
-        &split_break(),
-        TlbPreset::default(),
-        KernelConfig {
+    let mut k = kernel_with(&RunSpec {
+        kconfig: KernelConfig {
             aslr_stack: false,
             chaos: plan,
             trace,
             ..KernelConfig::default()
         },
-    );
+        ..RunSpec::new(split_break())
+    });
     let pid = k.spawn(&built.image).expect("spawn");
     let exit = k.run(80_000_000);
     assert_eq!(exit, RunExit::AllExited, "case must converge: {exit:?}");
@@ -135,8 +133,9 @@ fn golden_trace_matches_algorithm_sequence() {
 #[test]
 fn golden_rop_detection_trace() {
     use sm_attacks::code_reuse;
-    let shadow = Protection::ShadowStack(ResponseMode::Break);
-    let run = || code_reuse::run_rop_traced(&shadow, mask::DETECT | mask::PTE | mask::PROC);
+    let mut shadow = RunSpec::new(Protection::ShadowStack(ResponseMode::Break));
+    shadow.kconfig.trace = mask::DETECT | mask::PTE | mask::PROC;
+    let run = || code_reuse::run_rop_traced(&shadow);
     let (report, jsonl) = run();
     assert!(
         matches!(report.outcome, sm_attacks::AttackOutcome::Foiled { .. }),
@@ -178,14 +177,11 @@ fn golden_trace_is_byte_identical_across_runs() {
 fn traced_chaos_rerun_matches_untraced_verdict() {
     let plan = chaos::plan_by_name("kitchen-sink", 3).expect("plan exists");
     let scenario = Scenario::Wilander(canonical_case());
-    let untraced = chaos::run_scenario_on(scenario, &split_break(), TlbPreset::default(), plan);
-    let (traced, jsonl) = chaos::run_scenario_traced_on(
-        scenario,
-        &split_break(),
-        TlbPreset::default(),
-        plan,
-        mask::ALL,
-    );
+    let spec = chaos::with_plan(&RunSpec::new(split_break()), plan);
+    let (untraced, _) = chaos::run_scenario(scenario, &spec);
+    let mut traced_spec = spec.clone();
+    traced_spec.kconfig.trace = mask::ALL;
+    let (traced, jsonl) = chaos::run_scenario(scenario, &traced_spec);
     assert_eq!(traced.verdict, untraced.verdict);
     assert!(
         jsonl.lines().count() > 0,
@@ -265,18 +261,22 @@ fn forking_program() -> BuiltProgram {
 /// Run the forking guest under a chaos-heavy plan with full tracing,
 /// checking invariants (including trace order) between slices.
 fn run_forker_traced() -> Kernel {
-    let mut k = split_break().kernel(KernelConfig {
-        aslr_stack: false,
-        chaos: FaultPlan {
-            seed: 5,
-            flush_every: Some(101),
-            evict_every: Some(17),
-            preempt_every: Some(29),
-            ..FaultPlan::default()
+    let mut k = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            chaos: FaultPlan {
+                seed: 5,
+                flush_every: Some(101),
+                evict_every: Some(17),
+                preempt_every: Some(29),
+                ..FaultPlan::default()
+            },
+            trace: mask::ALL,
+            ..KernelConfig::default()
         },
-        trace: mask::ALL,
-        ..KernelConfig::default()
-    });
+        ..RunSpec::new(split_break())
+    }
+    .kernel();
     k.spawn(&forking_program().image).expect("spawn");
     let (exit, violations) = invariants::run_with_checks(&mut k, 80_000_000, 50_000);
     assert_eq!(exit, RunExit::AllExited, "forker must converge");
@@ -351,15 +351,19 @@ fn stats_deltas_saturate_and_stay_sane_across_fork_exit() {
     // Chaos-slice check: diff stats across slices spanning fork, COW
     // break, child exit and parent exit; every delta must be bounded by
     // the totals (a wrap-around would dwarf them).
-    let mut k = split_break().kernel(KernelConfig {
-        aslr_stack: false,
-        chaos: FaultPlan {
-            seed: 7,
-            preempt_every: Some(23),
-            ..FaultPlan::default()
+    let mut k = RunSpec {
+        kconfig: KernelConfig {
+            aslr_stack: false,
+            chaos: FaultPlan {
+                seed: 7,
+                preempt_every: Some(23),
+                ..FaultPlan::default()
+            },
+            ..KernelConfig::default()
         },
-        ..KernelConfig::default()
-    });
+        ..RunSpec::new(split_break())
+    }
+    .kernel();
     k.spawn(&forking_program().image).expect("spawn");
     let mut prev_m = k.sys.machine.stats;
     let mut prev_k = k.sys.stats;
